@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "408 and closes (0 disables; default 15)",
     )
     serve.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="SECONDS",
+        "--idle-timeout", type=float, default=30.0, metavar="SECONDS",
         help="keep-alive idle budget between requests (0 disables; "
         "default 30)",
     )

@@ -168,7 +168,7 @@ class Connection:
         self.state = STATE_READ_REQUEST
         self.parser = RequestParser(
             max_header_bytes=driver.config.max_header_bytes,
-            fast=getattr(driver.config, "fast_parse", False),
+            fast=driver.config.fast_parse,
         )
         self.request: Optional[HTTPRequest] = None
         self.content: Optional[StaticContent] = None
@@ -301,14 +301,12 @@ class Connection:
             return
         config = self.driver.config
         if kind == "header":
-            delay = getattr(config, "header_timeout", 0.0)
+            delay = config.header_timeout
         elif kind == "write":
-            delay = getattr(config, "write_stall_timeout", 0.0)
+            delay = config.write_stall_timeout
         else:
-            delay = getattr(config, "idle_timeout", None)
-            if delay is None:
-                delay = getattr(config, "connection_timeout", 0.0)
-        if delay is None or delay <= 0:
+            delay = config.idle_timeout
+        if delay <= 0:
             return
         self._deadline_handle = wheel.schedule(delay, self._on_deadline)
 
@@ -459,7 +457,7 @@ class Connection:
         self.request = request
         self.driver.store.stats.requests += 1
         self._keep_alive = self._effective_keep_alive(request.keep_alive)
-        sse_path = getattr(self.driver.config, "sse_path", None)
+        sse_path = self.driver.config.sse_path
         if sse_path and request.path == sse_path:
             self._start_sse(request)
             return
@@ -506,15 +504,7 @@ class Connection:
         if not self.driver.config.hot_cache or request.method not in ("GET", "HEAD"):
             return False
         content = self.driver.store.hot_lookup(
-            request.uri.encode("latin-1"),
-            self._keep_alive,
-            head=request.is_head,
-            if_modified_since=request.if_modified_since,
-            if_none_match=request.if_none_match,
-            if_match=request.if_match,
-            if_unmodified_since=request.if_unmodified_since,
-            range_header=request.range_header,
-            if_range=request.if_range,
+            request.uri.encode("latin-1"), self._keep_alive, request
         )
         if content is None:
             return False
@@ -857,7 +847,7 @@ class Connection:
         if type(sender) is not BufferedSendPath:
             return
         config = self.driver.config
-        if not (config.hot_cache and getattr(config, "fast_parse", False)):
+        if not (config.hot_cache and config.fast_parse):
             return
         store = self.driver.store
         stats = store.stats

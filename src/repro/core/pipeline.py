@@ -38,19 +38,17 @@ from repro.cache.response_header import ResponseHeaderCache
 from repro.core.config import ServerConfig
 from repro.core.send_path import sendfile_available, window_views
 from repro.http.mime import guess_mime_type
-from repro.http.request import RANGE_UNSATISFIABLE, HTTPRequest, parse_ranges
+from repro.http.request import HTTPRequest
 from repro.http.response import (
+    PLAN_FULL,
     ResponseHeaderBuilder,
+    ResponsePlan,
     content_range,
     content_range_unsatisfied,
-    if_match_matches,
-    if_modified_since_matches,
-    if_none_match_matches,
-    if_range_matches,
-    if_unmodified_since_matches,
     multipart_boundary,
     multipart_part_head,
     multipart_trailer,
+    plan_response,
 )
 from repro.http.uri import translate_path
 
@@ -453,10 +451,14 @@ class ContentStore:
     ) -> StaticContent:
         """Build the full static response for ``entry``.
 
-        The response header comes from the header cache when enabled; the
-        body comes from the mapped-file cache (zero-copy memoryviews over the
-        mappings) or, with the mmap cache disabled, from a plain read.  HEAD
-        requests get the header only.
+        The request is planned by :func:`~repro.http.response.plan_response`
+        (RFC 7232 preconditions in §6 order, then RFC 7233 ranges) and the
+        plan is composed by :meth:`_compose`: a 304, 412 or 416 is bodyless;
+        a 200 or 206 carries the body window(s).  The 200 header comes from
+        the header cache when enabled; the body comes from the mapped-file
+        cache (zero-copy memoryviews over the mappings) or, with the mmap
+        cache disabled, from a plain read.  HEAD requests get the header
+        only.
 
         When zero-copy is enabled a pinned open descriptor rides along for
         the ``sendfile`` send path.  ``map_body=False`` lets a caller that
@@ -465,191 +467,167 @@ class ContentStore:
         request performs no map, no touch and no user-space body work at
         all; AMPED keeps the chunks because they are the substrate of its
         ``mincore`` residency test and helper page-warming.
-
-        Conditional headers (RFC 7232) are evaluated in the §6 precedence
-        order against the entry's strong entity-tag and mtime —
-        ``If-Match`` then ``If-Unmodified-Since`` (412 on failure),
-        ``If-None-Match`` (304) which when present suppresses
-        ``If-Modified-Since`` entirely.  A ``Range`` header (RFC 7233)
-        narrows the body to one ``(offset, length)`` window for a plain
-        206, or to a ``multipart/byteranges`` 206 when several ranges are
-        satisfiable; unsatisfiable ranges answer 416 with ``Content-Range:
-        bytes */<size>``, and shapes this server must ignore (invalid
-        specs, a failed ``If-Range`` precondition) degrade to the full 200.
         """
         if keep_alive is None:
             keep_alive = request.keep_alive and self.config.keep_alive
+        plan = self._plan(request, entry)
+        return self._compose(plan, entry, keep_alive, request.is_head, map_body)
 
-        # The conditional and range headers apply to GET and HEAD only;
-        # other methods (a POST to a static path) must ignore them.
-        conditional = request.method in ("GET", "HEAD")
-        if conditional:
-            answer = self._evaluate_conditionals(request, entry, keep_alive)
-            if answer is not None:
-                return answer
-
-        windows = (
-            self._resolve_ranges(request, entry.size, entry.mtime, entry.etag)
-            if conditional
-            else None
+    @staticmethod
+    def _plan(request: HTTPRequest, source) -> ResponsePlan:
+        """Plan ``request`` against the validators of ``source`` (a
+        :class:`PathnameEntry` or a :class:`HotEntry`)."""
+        return plan_response(
+            source.size,
+            source.mtime,
+            source.etag,
+            request.method,
+            if_match=request.if_match,
+            if_unmodified_since=request.if_unmodified_since,
+            if_none_match=request.if_none_match,
+            if_modified_since=request.if_modified_since,
+            range_header=request.range_header,
+            if_range=request.if_range,
         )
-        if windows is RANGE_UNSATISFIABLE:
-            self.stats.range_unsatisfiable += 1
-            return StaticContent(
-                header=self._range_unsatisfiable_header(
-                    entry.filesystem_path, entry.size, entry.mtime, keep_alive
-                ),
-                segments=(),
-                content_length=0,
-                status=416,
-            )
-        if windows is not None and len(windows) > 1:
-            return self._build_multipart(
-                request, entry, windows, keep_alive, map_body=map_body
-            )
 
-        if windows is None:
-            header = self._response_header(entry, keep_alive)
-            offset, length, status = 0, entry.size, 200
+    def _compose(
+        self,
+        plan: ResponsePlan,
+        source,
+        keep_alive: bool,
+        head: bool,
+        map_body: bool = True,
+    ) -> StaticContent:
+        """Turn ``plan`` into a transmittable :class:`StaticContent`.
+
+        ``source`` is a :class:`PathnameEntry` (the slow path) or a
+        :class:`HotEntry` (a hot-cache hit).  The two differ only in where
+        the 200/304 headers and the body pins come from: the header cache
+        and fresh descriptor/chunk acquisitions, or the entry's
+        precomposed variants and refcount bumps on the resources it
+        already pins.  206 (plain or multipart), 412 and 416 headers are
+        built fresh either way — range shapes are client-chosen and
+        unbounded, so caching them would let a client balloon the caches.
+        """
+        hot = source if isinstance(source, HotEntry) else None
+        path = source.path if hot is not None else source.filesystem_path
+        size, mtime = source.size, source.mtime
+        status = plan.status
+        stats = self.stats
+        offset, length, parts, trailer = 0, size, (), b""
+        if status == 200:
+            header = (
+                hot.header(keep_alive)
+                if hot is not None
+                else self._response_header(source, keep_alive)
+            )
+        elif status == 206:
+            stats.range_responses += 1
+            if len(plan.windows) > 1:
+                stats.range_multipart_responses += 1
+                header, parts, trailer, length = self._plan_multipart(
+                    path, size, mtime, source.etag, plan.windows, keep_alive
+                )
+            else:
+                ((offset, length),) = plan.windows
+                header = self._range_header(
+                    path, size, mtime, source.etag, offset, length, keep_alive
+                )
         else:
-            # A single satisfiable window — whether from single-range
-            # syntax or a multi-range set with one survivor — collapses to
-            # the ordinary 206.
-            offset, length = windows[0]
-            status = 206
-            self.stats.range_responses += 1
-            header = self._range_header(
-                entry.filesystem_path,
-                entry.size,
-                entry.mtime,
-                entry.etag,
-                offset,
-                length,
-                keep_alive,
-            )
+            if status == 304:
+                stats.not_modified_responses += 1
+                header = (
+                    hot.header_not_modified(keep_alive)
+                    if hot is not None
+                    else self._not_modified_header(source, keep_alive)
+                )
+            elif status == 412:
+                stats.precondition_failed += 1
+                header = self._precondition_failed_header(path, mtime, source.etag, keep_alive)
+            else:
+                stats.range_unsatisfiable += 1
+                header = self._range_unsatisfiable_header(path, size, mtime, keep_alive)
+            head = True  # 304, 412 and 416 are bodyless
 
-        if request.is_head:
+        if head:
             return StaticContent(header=header, segments=(), content_length=0, status=status)
 
-        handle = self._acquire_fd(entry)
-
-        if self.mmap_cache is not None and (map_body or handle is None):
-            try:
-                chunks = self._acquire_chunks(entry, offset, length)
-            except BaseException:
-                if handle is not None:
-                    self.release_fd(handle)
-                raise
-            segments = self._chunk_window_segments(chunks, offset, length)
-            return StaticContent(
-                header=header,
-                segments=segments,
-                chunks=chunks,
-                content_length=length,
-                status=status,
-                file_handle=handle,
-                body_offset=offset,
-            )
-
-        if handle is not None:
-            # Pure zero-copy: no user-space body buffering at all.  The
-            # buffered fallback (sendfile unsupported for this socket) reads
-            # the window lazily at degradation time.
-            return StaticContent(
-                header=header,
-                segments=(),
-                content_length=length,
-                status=status,
-                file_handle=handle,
-                body_offset=offset,
-            )
-
-        data = self.read_file_range(entry.filesystem_path, offset, length)
-        return StaticContent(
-            header=header,
-            segments=[data],
-            content_length=len(data),
-            status=status,
-            body_offset=offset,
-        )
-
-    def _evaluate_conditionals(
-        self, request: HTTPRequest, entry: PathnameEntry, keep_alive: bool
-    ) -> Optional[StaticContent]:
-        """Apply the RFC 7232 preconditions; a non-``None`` result is final.
-
-        §6 evaluation order, against the validators minted at translation
-        time: ``If-Match`` first (strong ETag comparison; failure is 412),
-        then — only when ``If-Match`` is absent — ``If-Unmodified-Since``
-        (412), then ``If-None-Match`` (weak comparison; a match is a 304
-        for the GET/HEAD methods this path serves), and only when
-        ``If-None-Match`` is absent, ``If-Modified-Since``.  A request
-        whose preconditions all pass returns ``None`` and proceeds to the
-        range/body logic.
-        """
-        etag = entry.etag
-        if_match = request.if_match
-        if if_match:
-            if not if_match_matches(if_match, etag):
-                return self._precondition_failed(entry, keep_alive)
+        if hot is not None:
+            handle = hot.file_handle
+            if handle is not None:
+                handle.refcount += 1
+            pin = self._pin_entry_window if hot.chunks else None
         else:
-            unmodified_since = request.if_unmodified_since
-            if unmodified_since and not if_unmodified_since_matches(
-                unmodified_since, entry.mtime
-            ):
-                return self._precondition_failed(entry, keep_alive)
-        if_none_match = request.if_none_match
-        if if_none_match:
-            if if_none_match_matches(if_none_match, etag):
-                return self._not_modified(entry, keep_alive)
-            # A failed If-None-Match suppresses If-Modified-Since (§3.3):
-            # the client's tag is stale, so the full response must follow
-            # even when the date alone would have said 304.
-            return None
-        modified_since = request.if_modified_since
-        if modified_since and if_modified_since_matches(modified_since, entry.mtime):
-            return self._not_modified(entry, keep_alive)
-        return None
-
-    def _not_modified(self, entry: PathnameEntry, keep_alive: bool) -> StaticContent:
-        self.stats.not_modified_responses += 1
-        return StaticContent(
-            header=self._not_modified_header(entry, keep_alive),
+            handle = self._acquire_fd(source)
+            if self.mmap_cache is not None and (map_body or handle is None):
+                pin = self._pin_chunk_window
+            elif handle is None:
+                pin = self._read_window
+            else:
+                # Pure zero-copy: no user-space body buffering at all.  The
+                # buffered fallback (sendfile unsupported for this socket)
+                # reads the window(s) lazily at degradation time.
+                pin = None
+        content = StaticContent(
+            header=header,
             segments=(),
-            content_length=0,
-            status=304,
+            content_length=length,
+            status=status,
+            file_handle=handle,
+            body_offset=offset,
+            parts=parts,
+            trailer=trailer,
         )
+        if pin is not None:
+            try:
+                content.chunks, content.segments = self._body(content, pin, source)
+            except BaseException:
+                content.release(self)
+                raise
+        return content
 
-    def _precondition_failed(
-        self, entry: PathnameEntry, keep_alive: bool
-    ) -> StaticContent:
-        self.stats.precondition_failed += 1
-        return StaticContent(
-            header=self._precondition_failed_header(
-                entry.filesystem_path, entry.mtime, entry.etag, keep_alive
-            ),
-            segments=(),
-            content_length=0,
-            status=412,
-        )
+    def _body(self, content: StaticContent, pin, source) -> tuple[Sequence, Sequence]:
+        """``(chunks, segments)`` of ``content``'s body, window by window.
 
-    def _resolve_ranges(
-        self, request: HTTPRequest, size: int, mtime: float, etag: str
-    ):
-        """Resolve ``request``'s Range header against ``(size, mtime, etag)``.
-
-        Returns ``None`` (serve the full representation — no Range header,
-        an ignorable spec, or a failed ``If-Range`` precondition), a list
-        of ``(offset, length)`` windows (one entry: plain 206; several:
-        ``multipart/byteranges``), or :data:`RANGE_UNSATISFIABLE`.
+        ``pin(source, offset, length)`` returns the pinned chunks and the body
+        segments of one file window — mapped-chunk views (slow path), views
+        over a hot entry's pinned chunks, or a positional read.  A
+        multipart body interleaves each part's framing head and ends with
+        the trailer; chunks pinned before a failing window are released.
         """
-        value = request.range_header
-        if not value:
-            return None
-        if_range = request.if_range
-        if if_range and not if_range_matches(if_range, mtime, etag):
-            return None
-        return parse_ranges(value, size)
+        if not content.parts:
+            return pin(source, content.body_offset, content.content_length)
+        chunks: list[MappedChunk] = []
+        segments: list = []
+        try:
+            for part in content.parts:
+                part_chunks, part_segments = pin(source, part.offset, part.length)
+                chunks.extend(part_chunks)
+                segments.append(part.head)
+                segments.extend(part_segments)
+        except BaseException:
+            for chunk in chunks:
+                self.release_chunk(chunk)
+            raise
+        segments.append(content.trailer)
+        return chunks, segments
+
+    def read_body(self, content: StaticContent, entry: PathnameEntry) -> list:
+        """The body segments of ``content``, read positionally from ``entry``'s file.
+
+        The degraded route for a response whose zero-copy warming failed:
+        same windows and multipart framing, buffered in user space.
+        """
+        return self._body(content, self._read_window, entry)[1]
+
+    def _pin_chunk_window(
+        self, entry: PathnameEntry, offset: int, length: int
+    ) -> tuple[list[MappedChunk], list]:
+        chunks = self._acquire_chunks(entry, offset, length)
+        return chunks, self._chunk_window_segments(chunks, offset, length)
+
+    def _read_window(self, entry: PathnameEntry, offset: int, length: int) -> tuple[tuple, list]:
+        return (), [self.read_file_range(entry.filesystem_path, offset, length)]
 
     def _plan_multipart(
         self,
@@ -692,96 +670,6 @@ class ContentStore:
             cache_max_age=self._cache_max_age,
         ).raw
         return header, parts, trailer, total
-
-    def _build_multipart(
-        self,
-        request: HTTPRequest,
-        entry: PathnameEntry,
-        windows: Sequence[tuple[int, int]],
-        keep_alive: bool,
-        *,
-        map_body: bool,
-    ) -> StaticContent:
-        """Build the ``multipart/byteranges`` 206 for several windows.
-
-        Mirrors the single-window body routes: pinned mapped chunks per
-        window (the buffered/vectored path, with the part framing
-        interleaved into the segment vector), a pinned descriptor driving
-        one ``sendfile`` window per part, or positional buffered reads
-        when neither cache applies.
-        """
-        self.stats.range_responses += 1
-        self.stats.range_multipart_responses += 1
-        header, parts, trailer, total = self._plan_multipart(
-            entry.filesystem_path,
-            entry.size,
-            entry.mtime,
-            entry.etag,
-            windows,
-            keep_alive,
-        )
-        if request.is_head:
-            return StaticContent(header=header, segments=(), content_length=0, status=206)
-
-        handle = self._acquire_fd(entry)
-
-        if self.mmap_cache is not None and (map_body or handle is None):
-            chunks: list[MappedChunk] = []
-            segments: list = []
-            try:
-                for part in parts:
-                    part_chunks = self._acquire_chunks(entry, part.offset, part.length)
-                    chunks.extend(part_chunks)
-                    segments.append(part.head)
-                    segments.extend(
-                        self._chunk_window_segments(part_chunks, part.offset, part.length)
-                    )
-            except BaseException:
-                for chunk in chunks:
-                    self.release_chunk(chunk)
-                if handle is not None:
-                    self.release_fd(handle)
-                raise
-            segments.append(trailer)
-            return StaticContent(
-                header=header,
-                segments=segments,
-                chunks=chunks,
-                content_length=total,
-                status=206,
-                file_handle=handle,
-                parts=parts,
-                trailer=trailer,
-            )
-
-        if handle is not None:
-            # Pure zero-copy: one sendfile window per part; the buffered
-            # fallback reads each window lazily at degradation time.
-            return StaticContent(
-                header=header,
-                segments=(),
-                content_length=total,
-                status=206,
-                file_handle=handle,
-                parts=parts,
-                trailer=trailer,
-            )
-
-        segments = []
-        for part in parts:
-            segments.append(part.head)
-            segments.append(
-                self.read_file_range(entry.filesystem_path, part.offset, part.length)
-            )
-        segments.append(trailer)
-        return StaticContent(
-            header=header,
-            segments=segments,
-            content_length=total,
-            status=206,
-            parts=parts,
-            trailer=trailer,
-        )
 
     def _acquire_fd(self, entry: PathnameEntry) -> Optional[CachedFD]:
         """Pin a cached open descriptor for ``entry`` when zero-copy is on.
@@ -827,8 +715,8 @@ class ContentStore:
             cache_max_age=self._cache_max_age,
         ).raw
 
-    def _not_modified_header(self, entry, keep_alive: bool) -> bytes:
-        """Build the 304 header for ``entry`` (Pathname or hot entry shape).
+    def _not_modified_header(self, entry: PathnameEntry, keep_alive: bool) -> bytes:
+        """Build the 304 header for ``entry``.
 
         Built fresh (not cached per request): conditional requests take
         the full path only on a hot miss, and the hot-response cache
@@ -836,11 +724,10 @@ class ContentStore:
         bytes agree everywhere.  RFC 7232 §4.1: the 304 carries the same
         validators the 200 would have — ``Last-Modified`` and ``ETag``.
         """
-        path = getattr(entry, "filesystem_path", None) or entry.path
         return self.header_builder.build(
             304,
             content_length=0,
-            content_type=guess_mime_type(path),
+            content_type=guess_mime_type(entry.filesystem_path),
             last_modified=entry.mtime,
             keep_alive=keep_alive,
             etag=entry.etag,
@@ -910,14 +797,7 @@ class ContentStore:
         self,
         target: bytes,
         keep_alive: bool,
-        *,
-        head: bool = False,
-        if_modified_since: Optional[str] = None,
-        if_none_match: Optional[str] = None,
-        if_match: Optional[str] = None,
-        if_unmodified_since: Optional[str] = None,
-        range_header: Optional[str] = None,
-        if_range: Optional[str] = None,
+        request: Optional[HTTPRequest] = None,
     ) -> Optional[StaticContent]:
         """Serve ``target`` from the hot-response cache, if it can be.
 
@@ -928,16 +808,14 @@ class ContentStore:
         then runs the full pipeline, whose successful result re-populates
         the cache via :meth:`hot_insert`.
 
-        Conditional headers are answered against the entry's cached
-        validators in the same RFC 7232 §6 precedence order as
-        :meth:`build_response` — the cheapest possible response, a
-        precomposed bodyless 304, without re-translation or a header
-        build.  A ``Range`` header turns a hit into the *range-aware
-        read-side hit*: the windows are validated against the entry's
-        cached size, a 206 (plain or ``multipart/byteranges``) or 416
-        header is built fresh, and the body is sliced over the entry's
-        already-pinned descriptor/chunks — no translation, no
-        descriptor-cache probe, no re-``stat``.
+        ``request`` (GET or HEAD) is planned against the entry's cached
+        validators exactly as :meth:`build_response` plans it, so a
+        matching revalidation is answered by the precomposed bodyless 304
+        and a ``Range`` header by the *range-aware read-side hit*: a 206
+        (plain or ``multipart/byteranges``) whose body is sliced over the
+        entry's already-pinned descriptor/chunks — no translation, no
+        descriptor-cache probe, no re-``stat``.  ``None`` means a plain GET
+        (the fast probe and the pipelined batch), which skips the planner.
         """
         if self.hot_cache is None:
             return None
@@ -947,207 +825,35 @@ class ContentStore:
                 self.stats.hot_misses += 1
                 return None
             self.stats.hot_hits += 1
-            # RFC 7232 §6 precedence, mirroring _evaluate_conditionals.
-            if if_match:
-                if not if_match_matches(if_match, entry.etag):
-                    self.stats.precondition_failed += 1
-                    return StaticContent(
-                        header=self._precondition_failed_header(
-                            entry.path, entry.mtime, entry.etag, keep_alive
-                        ),
-                        segments=(),
-                        content_length=0,
-                        status=412,
-                    )
-            elif if_unmodified_since and not if_unmodified_since_matches(
-                if_unmodified_since, entry.mtime
-            ):
-                self.stats.precondition_failed += 1
-                return StaticContent(
-                    header=self._precondition_failed_header(
-                        entry.path, entry.mtime, entry.etag, keep_alive
-                    ),
-                    segments=(),
-                    content_length=0,
-                    status=412,
-                )
-            not_modified = False
-            if if_none_match:
-                not_modified = if_none_match_matches(if_none_match, entry.etag)
-            elif if_modified_since:
-                not_modified = if_modified_since_matches(if_modified_since, entry.mtime)
-            if not_modified:
-                self.stats.not_modified_responses += 1
-                return StaticContent(
-                    header=entry.header_not_modified(keep_alive),
-                    segments=(),
-                    content_length=0,
-                    status=304,
-                )
-            windows = None
-            if range_header and (
-                not if_range or if_range_matches(if_range, entry.mtime, entry.etag)
-            ):
-                windows = parse_ranges(range_header, entry.size)
-                if windows is RANGE_UNSATISFIABLE:
-                    self.stats.range_unsatisfiable += 1
-                    return StaticContent(
-                        header=self._range_unsatisfiable_header(
-                            entry.path, entry.size, entry.mtime, keep_alive
-                        ),
-                        segments=(),
-                        content_length=0,
-                        status=416,
-                    )
-            if head:
-                if windows is None:
-                    header = entry.header(keep_alive)
-                    status = 200
-                else:
-                    status = 206
-                    self.stats.range_responses += 1
-                    if len(windows) > 1:
-                        self.stats.range_multipart_responses += 1
-                        header, _, _, _ = self._plan_multipart(
-                            entry.path,
-                            entry.size,
-                            entry.mtime,
-                            entry.etag,
-                            windows,
-                            keep_alive,
-                        )
-                    else:
-                        offset, length = windows[0]
-                        header = self._range_header(
-                            entry.path,
-                            entry.size,
-                            entry.mtime,
-                            entry.etag,
-                            offset,
-                            length,
-                            keep_alive,
-                        )
-                return StaticContent(
-                    header=header, segments=(), content_length=0, status=status
-                )
-            return self._pin_hot_entry(entry, keep_alive, windows=windows)
+            if request is None:
+                return self._compose(PLAN_FULL, entry, keep_alive, False)
+            return self._compose(self._plan(request, entry), entry, keep_alive, request.is_head)
 
-    def _pin_hot_entry(
-        self,
-        entry: HotEntry,
-        keep_alive: bool,
-        windows: Optional[Sequence[tuple[int, int]]] = None,
-    ) -> StaticContent:
-        """Build a transmittable response from a hot entry.
+    def _pin_entry_window(
+        self, entry: HotEntry, offset: int, length: int
+    ) -> tuple[Sequence[MappedChunk], Sequence]:
+        """Pin the hot entry's chunks intersecting ``(offset, length)``.
 
-        The entry's own pins guarantee the descriptor and chunks are alive
-        and off their caches' free lists, so the per-request pin is a bare
-        refcount increment — no cache probe, no allocation beyond the
-        response container itself.  With ``windows`` the response is the
-        206 slice over the same pinned resources: chunk-backed bodies pin
-        (and residency-test, and release) only the chunks each window
-        intersects — exactly like the slow path's windowed acquisition —
-        while fd-backed bodies carry ``os.sendfile`` offsets (one window
-        per part in the multipart case).
+        The entry's own pins guarantee the chunks are alive and off their
+        cache's free list, so the per-request pin is a bare refcount
+        increment.  The full window reuses the entry's precomputed views;
+        a range window pins (and residency-tests, and releases) only the
+        chunks it intersects — exactly like the slow path's windowed
+        acquisition.
         """
-        handle = entry.file_handle
-        if handle is not None:
-            handle.refcount += 1
-        if windows is None:
-            for chunk in entry.chunks:
-                chunk.refcount += 1
-            return StaticContent(
-                header=entry.header(keep_alive),
-                segments=entry.segments,
-                chunks=entry.chunks,
-                content_length=entry.content_length,
-                file_handle=handle,
+        if offset == 0 and length == entry.size:
+            chunks, segments = entry.chunks, entry.segments
+        else:
+            end = offset + length
+            chunks = tuple(
+                chunk
+                for chunk in entry.chunks
+                if chunk.offset < end and chunk.offset + chunk.length > offset
             )
-        self.stats.range_responses += 1
-        if len(windows) > 1:
-            return self._pin_hot_multipart(entry, keep_alive, windows, handle)
-        offset, length = windows[0]
-        chunks = self._intersecting_entry_chunks(entry, offset, length)
+            segments = self._chunk_window_segments(chunks, offset, length)
         for chunk in chunks:
             chunk.refcount += 1
-        return StaticContent(
-            header=self._range_header(
-                entry.path,
-                entry.size,
-                entry.mtime,
-                entry.etag,
-                offset,
-                length,
-                keep_alive,
-            ),
-            segments=self._chunk_window_segments(chunks, offset, length),
-            chunks=chunks,
-            content_length=length,
-            status=206,
-            file_handle=handle,
-            body_offset=offset,
-        )
-
-    @staticmethod
-    def _intersecting_entry_chunks(
-        entry: HotEntry, offset: int, length: int
-    ) -> tuple[MappedChunk, ...]:
-        end = offset + length
-        return tuple(
-            chunk
-            for chunk in entry.chunks
-            if chunk.offset < end and chunk.offset + chunk.length > offset
-        )
-
-    def _pin_hot_multipart(
-        self,
-        entry: HotEntry,
-        keep_alive: bool,
-        windows: Sequence[tuple[int, int]],
-        handle: Optional[CachedFD],
-    ) -> StaticContent:
-        """The multipart flavour of the range-aware read-side hit.
-
-        Same plan as the slow path's :meth:`_build_multipart` (so the
-        bytes agree), but every body window is a slice over the entry's
-        already-pinned chunks or descriptor.
-        """
-        self.stats.range_multipart_responses += 1
-        header, parts, trailer, total = self._plan_multipart(
-            entry.path, entry.size, entry.mtime, entry.etag, windows, keep_alive
-        )
-        if not entry.chunks:
-            return StaticContent(
-                header=header,
-                segments=(),
-                content_length=total,
-                status=206,
-                file_handle=handle,
-                parts=parts,
-                trailer=trailer,
-            )
-        chunks: list[MappedChunk] = []
-        segments: list = []
-        for part in parts:
-            part_chunks = self._intersecting_entry_chunks(entry, part.offset, part.length)
-            for chunk in part_chunks:
-                chunk.refcount += 1
-            chunks.extend(part_chunks)
-            segments.append(part.head)
-            segments.extend(
-                self._chunk_window_segments(part_chunks, part.offset, part.length)
-            )
-        segments.append(trailer)
-        return StaticContent(
-            header=header,
-            segments=segments,
-            chunks=chunks,
-            content_length=total,
-            status=206,
-            file_handle=handle,
-            parts=parts,
-            trailer=trailer,
-        )
+        return chunks, segments
 
     def hot_insert(
         self, request: HTTPRequest, entry: PathnameEntry, content: StaticContent

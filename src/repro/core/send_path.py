@@ -298,22 +298,6 @@ class BufferedSendPath:
         self._index = 0
         self._offset = 0
 
-    # -- ResponseSource-protocol conformance ----------------------------------
-    # Fixed-length bodies are complete before the first byte leaves, so the
-    # flow-control half of the unified protocol (see
-    # :mod:`repro.core.streaming`) is trivial here: there is no producer to
-    # pause, and ``close`` is ``release``.
-
-    def pause(self) -> None:
-        """No producer behind a fixed-length body: nothing to pause."""
-
-    def resume(self) -> None:
-        """No producer behind a fixed-length body: nothing to resume."""
-
-    def close(self) -> None:
-        """Protocol alias of :meth:`release`."""
-        self.release()
-
 
 def choose_send_path(content, *, store, config, stats):
     """Pick the send path for a static response: zero-copy when possible.
@@ -497,22 +481,6 @@ class SendfileSendPath:
             self._fallback.release()
             self._fallback = None
 
-    # -- ResponseSource-protocol conformance ----------------------------------
-    # Fixed-length bodies are complete before the first byte leaves, so the
-    # flow-control half of the unified protocol (see
-    # :mod:`repro.core.streaming`) is trivial here: there is no producer to
-    # pause, and ``close`` is ``release``.
-
-    def pause(self) -> None:
-        """No producer behind a fixed-length body: nothing to pause."""
-
-    def resume(self) -> None:
-        """No producer behind a fixed-length body: nothing to resume."""
-
-    def close(self) -> None:
-        """Protocol alias of :meth:`release`."""
-        self.release()
-
 
 class MultipartSendfileSendPath:
     """Transmit a ``multipart/byteranges`` 206 zero-copy, window by window.
@@ -624,19 +592,3 @@ class MultipartSendfileSendPath:
             stage.release()
         self._stages = []
         self._current = 0
-
-    # -- ResponseSource-protocol conformance ----------------------------------
-    # Fixed-length bodies are complete before the first byte leaves, so the
-    # flow-control half of the unified protocol (see
-    # :mod:`repro.core.streaming`) is trivial here: there is no producer to
-    # pause, and ``close`` is ``release``.
-
-    def pause(self) -> None:
-        """No producer behind a fixed-length body: nothing to pause."""
-
-    def resume(self) -> None:
-        """No producer behind a fixed-length body: nothing to resume."""
-
-    def close(self) -> None:
-        """Protocol alias of :meth:`release`."""
-        self.release()

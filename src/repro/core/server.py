@@ -223,10 +223,14 @@ class BaseEventDrivenServer:
         self.store.stats.sse_dropped_events += 1
 
     def _on_fd_exhaustion(self) -> None:
-        """Survive accept-time EMFILE/ENFILE: shed one arrival, pause accepts."""
+        """Survive accept-time EMFILE/ENFILE: pause accepts, shed one arrival.
+
+        The pause (and its counter) comes first so that the shed client,
+        once it has its 503, observes the guard's bookkeeping complete.
+        """
         self.store.stats.fd_exhaustion_events += 1
-        self.admission.shed_one_pending(self._listen_sock)
         self._pause_accepting()
+        self.admission.shed_one_pending(self._listen_sock)
 
     def _pause_accepting(self) -> None:
         """Drop accept interest until established connections drain.
@@ -635,54 +639,24 @@ class FlashServer(BaseEventDrivenServer):
                 # known-cold file, trading the non-blocking invariant for
                 # availability on the (helper-failure) rare path.
                 self.store.stats.sendfile_warm_degradations += 1
-                expected = content.content_length
-                status = content.status
-                header = content.header
-                parts = tuple(content.parts)
-                trailer = content.trailer
-                offset = content.body_offset
+                # Released first: the degraded response is the same header,
+                # windows and framing with a buffered body and no pins.
                 content.release(self.store)
-                segments = []
-                read = 0
                 try:
-                    if parts:
-                        # Multipart: re-read each window positionally and
-                        # re-interleave the part framing.
-                        for part in parts:
-                            data = self.store.read_file_range(
-                                entry.filesystem_path, part.offset, part.length
-                            )
-                            segments.extend([part.head, data])
-                            read += len(part.head) + len(data)
-                        segments.append(trailer)
-                        read += len(trailer)
-                    else:
-                        data = self.store.read_file_range(
-                            entry.filesystem_path, offset, expected
-                        )
-                        segments.append(data)
-                        read = len(data)
+                    segments = self.store.read_body(content, entry)
                 except OSError as exc:
                     callback(None, exc)
                     return
-                if read != expected:
+                if sum(len(segment) for segment in segments) != content.content_length:
                     # The file changed size since the header promised
-                    # ``expected`` bytes; serving the mismatched body would
+                    # ``content_length`` bytes; serving the mismatched body would
                     # desynchronize keep-alive framing (the buffered path
                     # has no under_delivered escape hatch).  Fail this
                     # request; pathname revalidation repairs the next one.
                     callback(None, HTTPError("file changed during warming", status=500))
                     return
-                degraded = StaticContent(
-                    header=header,
-                    segments=segments,
-                    content_length=read,
-                    status=status,
-                    body_offset=offset,
-                    parts=parts,
-                    trailer=trailer,
-                )
-                callback(degraded, None)
+                content.segments = segments
+                callback(content, None)
                 return
             callback(content, None)
 

@@ -34,12 +34,9 @@ keeps going.  This module is the protocol that mediates the two.
     when new data arrives after a ``WOULD_BLOCK``.  Blocking-architecture
     callers never bind; they drive :meth:`ResponseSource.wait` instead.
 
-Fixed-length bodies satisfy the same protocol through
-:class:`ContentSource` (and the legacy send paths gained no-op
-``pause``/``resume`` and ``close`` aliases), so every response shape the
-server produces now goes through one surface; the fixed-length paths
-keep their specialized senders purely as a zero-copy fast path with
-byte-identical output.
+Fixed-length static responses do not use this protocol: their bodies are
+complete before the first byte leaves, so they go out through the
+specialized senders in :mod:`repro.core.send_path`.
 
 Framing
 -------
@@ -178,55 +175,6 @@ class IterableSource(ResponseSource):
             closer = getattr(iterator, "close", None)
             if closer is not None:
                 closer()
-
-
-class ContentSource(ResponseSource):
-    """Adapt a fixed-length ``StaticContent`` body to the source protocol.
-
-    The port of the pre-existing response shapes onto the unified
-    protocol: the same ``(body_offset, content_length)`` window (or
-    multipart stage sequence) the specialized senders transmit, exposed
-    one buffer at a time.  Byte-identity with the legacy senders is
-    asserted by tests; the zero-copy senders remain the production fast
-    path for these shapes, chosen exactly as before.
-    """
-
-    def __init__(self, content, store=None) -> None:
-        super().__init__()
-        self._content = content
-        self._store = store
-        self._segments = list(content_segments(content))
-        self._position = 0
-
-    def next_segment(self) -> Segment:
-        if self._position >= len(self._segments):
-            return END_OF_STREAM
-        segment = self._segments[self._position]
-        self._position += 1
-        return segment
-
-    def close(self) -> None:
-        self._segments = []
-        content, self._content = self._content, None
-        if content is not None and self._store is not None:
-            content.release(self._store)
-
-
-def content_segments(content) -> Iterator:
-    """Yield the exact wire bytes of a ``StaticContent`` after its header.
-
-    ``content.segments`` are already the complete wire body: the
-    pipeline slices range (206) windows before constructing the content
-    (``body_offset`` is the *file* offset the sendfile path reads from,
-    not an offset into the segments), and multipart bodies carry their
-    part framing and trailer interleaved into the segment vector.
-    Content built with ``map_body=False`` (fd-only, no user-space
-    buffers) is not representable here; such responses stay on the
-    sendfile path.
-    """
-    for segment in content.segments:
-        if len(segment):
-            yield memoryview(segment)
 
 
 #: Chunked-framing terminator: the zero-size chunk plus final CRLF.
@@ -406,12 +354,10 @@ class StreamingSendPath:
 
 __all__ = [
     "CHUNKED_TERMINATOR",
-    "ContentSource",
     "END_OF_STREAM",
     "IterableSource",
     "ResponseSource",
     "StreamingSendPath",
     "WOULD_BLOCK",
     "chunk_frame",
-    "content_segments",
 ]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.http.errors import reason_phrase
+from repro.http.request import RANGE_UNSATISFIABLE, parse_ranges
 
 #: Alignment target used by Flash (Section 5.5): 32 bytes, chosen to match
 #: systems with 32-byte cache lines rather than simple word alignment.
@@ -234,6 +235,80 @@ def if_range_matches(value: str, mtime: float, etag: Optional[str] = None) -> bo
     if parsed is None:
         return False
     return serialized_timestamp(mtime) == parsed.timestamp()
+
+
+@dataclass(frozen=True)
+class ResponsePlan:
+    """The decided answer to a static request, before any I/O.
+
+    ``status`` is 200 (full representation), 206, 304, 412 or 416;
+    ``windows`` holds the satisfied ``(offset, length)`` file windows of a
+    206 in request order — one for a plain 206, several for
+    ``multipart/byteranges``.
+    """
+
+    status: int
+    windows: tuple[tuple[int, int], ...] = ()
+
+
+PLAN_FULL = ResponsePlan(200)
+PLAN_NOT_MODIFIED = ResponsePlan(304)
+PLAN_PRECONDITION_FAILED = ResponsePlan(412)
+PLAN_RANGE_UNSATISFIABLE = ResponsePlan(416)
+
+
+def plan_response(
+    size: int,
+    mtime: float,
+    etag: str,
+    method: str = "GET",
+    *,
+    if_match: Optional[str] = None,
+    if_unmodified_since: Optional[str] = None,
+    if_none_match: Optional[str] = None,
+    if_modified_since: Optional[str] = None,
+    range_header: Optional[str] = None,
+    if_range: Optional[str] = None,
+) -> ResponsePlan:
+    """Decide a static response from the file's validators and the request.
+
+    The single place the RFC 7232 §6 precedence and the RFC 7233 range
+    resolution are written; every architecture and both the slow path and
+    the hot-cache hit compose their response from this plan.  Pure: no
+    I/O, no counters.
+
+    Only GET and HEAD honour the headers (anything else is a plain 200).
+    ``If-Match`` is evaluated first (strong comparison, failure is 412);
+    only when it is absent, ``If-Unmodified-Since`` (412).  Then
+    ``If-None-Match`` (weak comparison, a match is 304), and only when it
+    is absent, ``If-Modified-Since`` (304).  A request whose preconditions
+    pass has its ``Range`` resolved against ``size`` unless a present
+    ``If-Range`` fails: an ignorable spec serves the full 200, a set that
+    selects no byte is a 416, and the satisfiable windows are a 206.
+    """
+    if method not in ("GET", "HEAD"):
+        return PLAN_FULL
+    if if_match:
+        if not if_match_matches(if_match, etag):
+            return PLAN_PRECONDITION_FAILED
+    elif if_unmodified_since and not if_unmodified_since_matches(if_unmodified_since, mtime):
+        return PLAN_PRECONDITION_FAILED
+    if if_none_match:
+        if if_none_match_matches(if_none_match, etag):
+            return PLAN_NOT_MODIFIED
+        # A failed If-None-Match suppresses If-Modified-Since (§3.3): the
+        # client's tag is stale, so the full response must follow even when
+        # the date alone would have said 304.
+    elif if_modified_since and if_modified_since_matches(if_modified_since, mtime):
+        return PLAN_NOT_MODIFIED
+    if not range_header or (if_range and not if_range_matches(if_range, mtime, etag)):
+        return PLAN_FULL
+    windows = parse_ranges(range_header, size)
+    if windows is None:
+        return PLAN_FULL
+    if windows is RANGE_UNSATISFIABLE:
+        return PLAN_RANGE_UNSATISFIABLE
+    return ResponsePlan(206, tuple(windows))
 
 
 def content_range(offset: int, length: int, size: int) -> str:

@@ -306,17 +306,7 @@ def _lookup_hot(
     """
     if not config.hot_cache or request.method not in ("GET", "HEAD"):
         return None
-    return store.hot_lookup(
-        request.uri.encode("latin-1"),
-        keep_alive,
-        head=request.is_head,
-        if_modified_since=request.if_modified_since,
-        if_none_match=request.if_none_match,
-        if_match=request.if_match,
-        if_unmodified_since=request.if_unmodified_since,
-        range_header=request.range_header,
-        if_range=request.if_range,
-    )
+    return store.hot_lookup(request.uri.encode("latin-1"), keep_alive, request)
 
 
 def _send_content(sock: socket.socket, store: ContentStore, content: StaticContent) -> None:

@@ -169,9 +169,9 @@ class TestCacheStructure:
         assert cache.pinned_bytes == 0
 
 
-def get_request(uri, version="HTTP/1.1", headers=None):
+def get_request(uri, version="HTTP/1.1", headers=None, method="GET"):
     return HTTPRequest(
-        method="GET",
+        method=method,
         uri=uri,
         path=uri,
         version=version,
@@ -227,7 +227,7 @@ class TestContentStoreIntegration:
 
     def test_head_served_from_entry_without_body(self, store):
         entry = build_and_insert(store)
-        content = store.hot_lookup(b"/page.html", True, head=True)
+        content = store.hot_lookup(b"/page.html", True, get_request("/page.html", method="HEAD"))
         assert content.content_length == 0
         assert content.segments == ()
         assert content.file_handle is None
@@ -239,14 +239,21 @@ class TestContentStoreIntegration:
         entry = build_and_insert(store)
         stamp = http_date(entry.mtime)
         content = store.hot_lookup(
-            b"/page.html", True, if_modified_since=stamp
+            b"/page.html",
+            True,
+            get_request("/page.html", headers={"if-modified-since": stamp}),
         )
         assert content.status == 304
         assert content.content_length == 0
         assert b"304 Not Modified" in content.header
         # An IMS in the past still gets the 200.
         content = store.hot_lookup(
-            b"/page.html", True, if_modified_since=http_date(entry.mtime - 3600)
+            b"/page.html",
+            True,
+            get_request(
+                "/page.html",
+                headers={"if-modified-since": http_date(entry.mtime - 3600)},
+            ),
         )
         assert content.status == 200
         content.release(store)
@@ -453,7 +460,9 @@ class TestWindowScopedResidency:
             total_chunks = len(store.hot_cache.lookup(b"/file.bin").chunks)
             assert total_chunks == 4
             content = store.hot_lookup(
-                b"/file.bin", True, range_header="bytes=70000-70999"
+                b"/file.bin",
+                True,
+                get_request("/file.bin", headers={"range": "bytes=70000-70999"}),
             )
             try:
                 assert content is not None and content.status == 206

@@ -477,11 +477,11 @@ class TestDeadlines:
         client.close()
 
     def test_disabled_timeouts_schedule_nothing(self, docroot):
-        """``connection_timeout=0`` (and friends) must disable reaping —
+        """``idle_timeout=0`` (and friends) must disable reaping —
         the regression where 0 turned the reaper into a busy loop that
         closed every connection instantly."""
         driver = ScriptedDriver(
-            docroot, connection_timeout=0,
+            docroot, idle_timeout=0,
             header_timeout=0, write_stall_timeout=0,
         )
         assert driver.config.idle_timeout == 0.0

@@ -125,6 +125,35 @@ class TestWarmDispatch:
         assert response.status == 500
         assert server.stats.sendfile_warm_degradations >= 1
 
+    def test_degraded_multipart_matches_warm_response(self, docroot, monkeypatch):
+        """The degraded positional read keeps the multipart framing: the
+        body is byte-identical to the one a warm server sends."""
+        import repro.core.helpers as helpers_module
+
+        ranges = {"Range": "bytes=0-99,5000-5999,-300"}
+        warm = flash(docroot, SimulatedResidencyOracle(default_resident=True))
+        warm.start()
+        try:
+            expected = fetch(*warm.address, "/cold.bin", headers=ranges)
+        finally:
+            warm.stop()
+
+        def crash(path, fd, offset, length):
+            raise RuntimeError("helper crashed mid-warm")
+
+        monkeypatch.setattr(helpers_module, "_warm_file_range", crash)
+        server = flash(docroot, SimulatedResidencyOracle(default_resident=False))
+        server.start()
+        try:
+            response = fetch(*server.address, "/cold.bin", headers=ranges)
+        finally:
+            server.stop()
+        assert expected.status == response.status == 206
+        assert response.headers["content-type"].startswith("multipart/byteranges")
+        assert response.headers["content-type"] == expected.headers["content-type"]
+        assert response.body == expected.body
+        assert server.stats.sendfile_warm_degradations >= 1
+
     def test_warming_off_with_mmap_off_never_dispatches_warm(self, docroot):
         """With the mmap cache disabled the response is fd-backed and
         chunkless even though warming is off; the --no-warming contract
