@@ -166,7 +166,7 @@ class PathnameCache:
         return entry
 
     def insert(self, entry: PathnameEntry) -> None:
-        """Insert a translation produced elsewhere (e.g. by a helper process).
+        """Insert a translation produced elsewhere (e.g. by a helper).
 
         The AMPED server's translation helpers return completed
         :class:`PathnameEntry` objects over IPC; the main process records

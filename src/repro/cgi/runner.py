@@ -8,17 +8,13 @@ worker dedicated to that application.  Workers are created lazily on first
 use ("if a process does not currently exist, the server creates it"),
 process one request at a time, and return the generated document.
 
-As with the AMPED helpers, two worker realizations exist:
-
-``"thread"`` (default)
-    One persistent thread per application.  Because the application runs
-    outside the event loop, it can block or compute for a long time without
-    stalling the server, which is the property Section 5.6 cares about.
-``"process"``
-    One persistent process per application, communicating over a pipe —
-    faithful to the paper; requires the application callable and its results
-    to be picklable (with the default ``fork`` start method this is almost
-    always true).
+Workers are persistent threads, one per application.  The paper notes that
+AMPED's helpers "can be implemented either as kernel threads within the main
+server process or as separate processes", and the same holds for these
+workers; threads are the only realization here because CPython releases the
+GIL in blocking I/O, so an application running in its own thread can block
+or compute for a long time without stalling the event loop, which is the
+property Section 5.6 cares about.
 
 Streaming applications
 ----------------------
@@ -30,17 +26,14 @@ its chunks flow through a *bounded* per-request queue
 ``put`` when the queue is full — which is the CGI half of the streaming
 backpressure design.  When the consuming connection pauses its source
 (socket stopped draining), chunk notifications stop, the queue fills,
-and the child blocks in its pipe/queue write instead of the server
-buffering unboundedly; process-mode children block in the OS pipe the
-same way.  ``cancel`` (set when the consumer is reaped) unblocks the
-worker and lets it run the generator's ``finally`` blocks.
+and the worker blocks in its queue write instead of the server
+buffering unboundedly.  ``cancel`` (set when the consumer is reaped)
+unblocks the worker and lets it run the generator's ``finally`` blocks.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
 import queue
 import socket
 import threading
@@ -61,7 +54,7 @@ CGIProgram = Callable[["CGIRequestData"], Union[bytes, Iterator[bytes]]]
 
 @dataclass
 class CGIRequestData:
-    """The picklable subset of a request forwarded to a CGI application."""
+    """The subset of a request forwarded to a CGI application."""
 
     program: str
     path: str
@@ -134,9 +127,8 @@ def _put_with_cancel(chunks: queue.Queue, item, cancel: threading.Event) -> bool
     """Bounded put that aborts when the consumer cancelled the stream.
 
     The blocking ``put`` on a full queue IS the backpressure: the worker
-    (and through it a process-mode child blocked in its pipe) stalls until
-    the consumer drains or gives up.  Polls the cancel flag so a reaped
-    consumer cannot wedge the worker forever.
+    stalls until the consumer drains or gives up.  Polls the cancel flag so
+    a reaped consumer cannot wedge the worker forever.
     """
     while not cancel.is_set():
         try:
@@ -212,8 +204,6 @@ class CGIRunner:
         ``/cgi-bin/``) to the application callable.
     prefix:
         URI prefix that identifies dynamic requests.
-    mode:
-        ``"thread"`` or ``"process"`` worker realization.
     stream_depth:
         Bound on the per-request chunk queue of a streaming application;
         the producer blocks once this many chunks are unconsumed.
@@ -223,19 +213,15 @@ class CGIRunner:
         self,
         programs: Optional[dict] = None,
         prefix: str = "/cgi-bin/",
-        mode: str = "thread",
         stream_depth: int = 8,
     ):
-        if mode not in ("thread", "process"):
-            raise ValueError("mode must be 'thread' or 'process'")
         self.programs: dict[str, CGIProgram] = dict(programs or {})
         self.prefix = prefix
-        self.mode = mode
         self.stream_depth = max(1, stream_depth)
         self._seq = 0
         self._callbacks: dict[int, Callable] = {}
         self._streams: dict[int, CGIStreamSource] = {}
-        self._workers: dict[str, _Worker] = {}
+        self._workers: dict[str, _ThreadWorker] = {}
         self._done_queue: queue.Queue = queue.Queue()
         self._wakeup_recv, self._wakeup_send = socket.socketpair()
         self._wakeup_recv.setblocking(False)
@@ -393,14 +379,10 @@ class CGIRunner:
         """Number of application workers currently alive."""
         return len(self._workers)
 
-    def _worker_for(self, name: str) -> "_Worker":
+    def _worker_for(self, name: str) -> "_ThreadWorker":
         worker = self._workers.get(name)
         if worker is None:
-            program = self.programs[name]
-            if self.mode == "thread":
-                worker = _ThreadWorker(name, program, self.stream_depth)
-            else:
-                worker = _ProcessWorker(name, program, self.stream_depth)
+            worker = _ThreadWorker(name, self.programs[name], self.stream_depth)
             self._workers[name] = worker
         return worker
 
@@ -417,19 +399,6 @@ def _drain_stream(start: _CGIStreamStart):
             yield item
     finally:
         start.cancel.set()
-
-
-class _Worker:
-    """Interface of a persistent per-application worker."""
-
-    def run_sync(self, data: CGIRequestData):
-        raise NotImplementedError
-
-    def run_async(self, job: _CGIJob, deliver: Callable) -> None:
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        raise NotImplementedError
 
 
 def _run_program(
@@ -486,7 +455,7 @@ def _run_program(
         deliver(_CGIStreamEnd(seq=seq, error_message=error))
 
 
-class _ThreadWorker(_Worker):
+class _ThreadWorker:
     """Persistent worker thread dedicated to one application."""
 
     def __init__(self, name: str, program: CGIProgram, stream_depth: int = 8):
@@ -519,140 +488,3 @@ class _ThreadWorker(_Worker):
     def stop(self) -> None:
         self._jobs.put(None)
         self._thread.join(timeout=5.0)
-
-
-class _ProcessWorker(_Worker):
-    """Persistent worker process dedicated to one application.
-
-    A small bridging thread reads completions from the process pipe and
-    forwards them to the requesting callback, so the asynchronous interface
-    matches the thread worker's.  For streaming programs the bridge fills
-    the bounded chunk queue: when the queue is full the bridge stops
-    reading the pipe, the pipe fills, and the child blocks in its write —
-    real OS-level backpressure on the child process.
-    """
-
-    def __init__(self, name: str, program: CGIProgram, stream_depth: int = 8):
-        self.name = name
-        self.stream_depth = stream_depth
-        context = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
-        self._parent_conn, child_conn = context.Pipe(duplex=True)
-        self._process = context.Process(
-            target=_process_worker_main,
-            args=(child_conn, program),
-            name=f"cgi-{name}",
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        self._lock = threading.Lock()
-
-    def run_sync(self, data: CGIRequestData):
-        result_box: queue.Queue = queue.Queue()
-        self.run_async(_CGIJob(seq=0, data=data), result_box.put,
-                       notify_chunks=False)
-        return result_box.get()
-
-    def run_async(self, job: _CGIJob, deliver: Callable,
-                  notify_chunks: bool = True) -> None:
-        def bridge():
-            with self._lock:
-                try:
-                    self._parent_conn.send((job.seq, job.data))
-                except (BrokenPipeError, OSError):
-                    deliver(_CGIDone(seq=job.seq, ok=False,
-                                     error_message="CGI worker pipe closed"))
-                    return
-                chunks = cancel = None
-                while True:
-                    try:
-                        _seq, message = self._parent_conn.recv()
-                    except (EOFError, OSError):
-                        if chunks is None:
-                            deliver(_CGIDone(seq=job.seq, ok=False,
-                                             error_message="CGI worker died"))
-                        else:
-                            _put_with_cancel(chunks, _StreamEnd("CGI worker died"),
-                                             cancel)
-                            if notify_chunks:
-                                deliver(_CGIStreamEnd(
-                                    seq=job.seq,
-                                    error_message="CGI worker died"))
-                        return
-                    if isinstance(message, _CGIDone):
-                        deliver(message)
-                        return
-                    kind = message[0]
-                    if kind == "start":
-                        chunks = queue.Queue(maxsize=max(1, self.stream_depth))
-                        cancel = threading.Event()
-                        deliver(_CGIStreamStart(seq=job.seq, chunks=chunks,
-                                                cancel=cancel))
-                    elif kind == "chunk":
-                        if not _put_with_cancel(chunks, message[1], cancel):
-                            continue  # consumer gone: drain child to the end
-                        if notify_chunks:
-                            deliver(_CGIStreamData(seq=job.seq))
-                    elif kind == "end":
-                        _put_with_cancel(chunks, _StreamEnd(message[1]), cancel)
-                        if notify_chunks:
-                            deliver(_CGIStreamEnd(seq=job.seq,
-                                                  error_message=message[1]))
-                        return
-
-        threading.Thread(target=bridge, daemon=True).start()
-
-    def stop(self) -> None:
-        try:
-            self._parent_conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(timeout=5.0)
-        if self._process.is_alive():
-            self._process.terminate()
-        self._parent_conn.close()
-
-
-def _process_worker_main(conn, program: CGIProgram) -> None:
-    """Entry point of a persistent CGI worker process."""
-    while True:
-        try:
-            item = conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        seq, data = item
-        try:
-            try:
-                body = program(data)
-                if isinstance(body, str):
-                    body = body.encode("utf-8")
-            except Exception as exc:  # noqa: BLE001 - worker must survive app errors
-                conn.send((seq, _CGIDone(
-                    seq=seq, ok=False,
-                    error_message=f"{type(exc).__name__}: {exc}")))
-                continue
-            if isinstance(body, (bytes, bytearray, memoryview)):
-                conn.send((seq, _CGIDone(seq=seq, ok=True, body=bytes(body))))
-                continue
-            conn.send((seq, ("start",)))
-            error = ""
-            try:
-                for chunk in body:
-                    if isinstance(chunk, str):
-                        chunk = chunk.encode("utf-8")
-                    if len(chunk):
-                        conn.send((seq, ("chunk", bytes(chunk))))
-            except Exception as exc:  # noqa: BLE001
-                error = f"{type(exc).__name__}: {exc}"
-            finally:
-                closer = getattr(body, "close", None)
-                if closer is not None:
-                    try:
-                        closer()
-                    except Exception:  # noqa: BLE001
-                        pass
-            conn.send((seq, ("end", error)))
-        except (BrokenPipeError, OSError):
-            return

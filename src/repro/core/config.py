@@ -48,13 +48,6 @@ class ServerConfig:
     #: ("the Flash-MP and Apache servers use 32 server processes and
     #: Flash-MT uses 32 threads").
     num_workers: int = 32
-    #: How AMPED helpers are realized: ``"thread"`` or ``"process"``.  The
-    #: paper uses separate processes for portability to systems without
-    #: kernel threads; in this reproduction threads are the default because
-    #: CPython releases the GIL during disk reads, so helper threads provide
-    #: the same non-blocking behaviour with far less IPC overhead, and
-    #: process helpers remain available for fidelity.
-    helper_mode: str = "thread"
 
     # -- caches (Sections 5.2-5.4) ------------------------------------------
     #: Enable the pathname translation cache.
@@ -221,8 +214,6 @@ class ServerConfig:
             raise ValueError("num_helpers must be at least 1")
         if self.num_workers < 1:
             raise ValueError("num_workers must be at least 1")
-        if self.helper_mode not in ("thread", "process"):
-            raise ValueError("helper_mode must be 'thread' or 'process'")
         if self.residency_mode not in ("mincore", "clock", "optimistic"):
             raise ValueError("residency_mode must be 'mincore', 'clock' or 'optimistic'")
         if self.mmap_chunk_size <= 0:

@@ -22,27 +22,18 @@ fd-backed (``sendfile``) response memory resident via
 main process can transmit straight from the descriptor without mapping the
 file at all.
 
-Two realizations are provided, selected by ``ServerConfig.helper_mode``:
-
-``"process"``
-    Faithful to the paper: helpers are separate processes created with
-    :mod:`multiprocessing`, each connected to the server by a duplex pipe
-    whose file descriptor the event loop watches.
-
-``"thread"``
-    Helpers are threads inside the server process.  The paper notes helpers
-    "can be implemented either as kernel threads within the main server
-    process or as separate processes"; CPython threads release the GIL
-    during disk reads, so they provide the same does-not-block-the-main-loop
-    property with far lower IPC cost.  Completions are signalled to the
-    event loop through a self-pipe (socketpair), keeping the observation
-    path identical: the main loop still learns of completions via ``select``.
+Helpers are threads inside the server process.  The paper notes helpers
+"can be implemented either as kernel threads within the main server process
+or as separate processes"; threads are the only realization here because
+CPython releases the GIL during disk reads, so a helper thread gives the
+same does-not-block-the-main-loop property as a helper process without the
+IPC cost.  Completions are signalled to the event loop through a self-pipe
+(socketpair), so the main loop still learns of them via ``select``.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import queue
 import socket
@@ -105,16 +96,14 @@ class HelperRequest:
     path:
         Filesystem path, for reads and warms.
     fd:
-        Open file descriptor to warm (``OP_WARM`` only).  Valid only for
-        thread-mode helpers, which share the server's descriptor table; the
-        server passes ``-1`` to process-mode helpers, which re-open ``path``
-        (warming populates the shared OS buffer cache either way).  The
-        caller must keep the descriptor pinned until the reply arrives.
+        Open file descriptor to warm (``OP_WARM`` only); helper threads
+        share the server's descriptor table.  The caller must keep the
+        descriptor pinned until the reply arrives.
     offset, length:
         Byte range to touch for reads/warms (0, 0 means the whole file).
     document_root, user_dirs:
-        Translation parameters (helpers in process mode cannot see the
-        server's config object, so the request carries what it needs).
+        Translation parameters, carried by the request so that
+        :func:`perform_helper_operation` needs no server config object.
     """
 
     seq: int
@@ -181,9 +170,7 @@ def perform_helper_operation(request: HelperRequest) -> HelperReply:
                 bytes_touched=touched,
             )
         if request.op == OP_WARM:
-            touched = _warm_file_range(
-                request.path, request.fd, request.offset, request.length
-            )
+            touched = _warm_file_range(request.fd, request.offset, request.length)
             return HelperReply(
                 seq=request.seq,
                 op=request.op,
@@ -227,7 +214,7 @@ def _touch_file_range(path: str, offset: int, length: int) -> int:
     return touched
 
 
-def _warm_file_range(path: str, fd: int, offset: int, length: int) -> int:
+def _warm_file_range(fd: int, offset: int, length: int) -> int:
     """Make a byte range of an fd-backed response memory resident.
 
     This is the zero-copy analogue of :func:`_touch_file_range`: the main
@@ -247,53 +234,31 @@ def _warm_file_range(path: str, fd: int, offset: int, length: int) -> int:
 
     ``os.preadv``/``os.pread`` never move the descriptor's file offset, so
     warming is safe to run concurrently with a ``sendfile`` transfer from
-    the same (shared, thread-mode) descriptor.
-
-    When ``fd`` is negative (process-mode helpers do not share the server's
-    descriptor table) the helper opens ``path`` itself; the buffer cache it
-    fills is shared between processes all the same.
+    the same (shared) descriptor.
     """
-    owns_fd = fd < 0
-    if owns_fd:
-        fd = os.open(path, os.O_RDONLY)
-    try:
-        size = os.fstat(fd).st_size
-        if length <= 0:
-            length = size - offset
-        length = max(0, min(length, size - offset))
-        advise_willneed(fd, offset, length)
-        buffer = bytearray(min(WARM_READ_BUFFER, max(1, length)))
-        view = memoryview(buffer)
-        read_at = getattr(os, "preadv", None)
-        touched = 0
-        position = offset
-        remaining = length
-        while remaining > 0:
-            want = min(len(buffer), remaining)
-            if read_at is not None:
-                got = read_at(fd, [view[:want]], position)
-            else:  # pragma: no cover - platforms without preadv
-                got = len(os.pread(fd, want, position))
-            if got <= 0:
-                break
-            touched += got
-            position += got
-            remaining -= got
-        return touched
-    finally:
-        if owns_fd:
-            os.close(fd)
-
-
-def _death_reply(seq: int) -> HelperReply:
-    """The failure reply synthesized for an operation whose helper died."""
-    return HelperReply(
-        seq=seq,
-        op="",
-        ok=False,
-        error_type="HelperDiedError",
-        error_message="helper process died mid-operation",
-    )
+    size = os.fstat(fd).st_size
+    if length <= 0:
+        length = size - offset
+    length = max(0, min(length, size - offset))
+    advise_willneed(fd, offset, length)
+    buffer = bytearray(min(WARM_READ_BUFFER, max(1, length)))
+    view = memoryview(buffer)
+    read_at = getattr(os, "preadv", None)
+    touched = 0
+    position = offset
+    remaining = length
+    while remaining > 0:
+        want = min(len(buffer), remaining)
+        if read_at is not None:
+            got = read_at(fd, [view[:want]], position)
+        else:  # pragma: no cover - platforms without preadv
+            got = len(os.pread(fd, want, position))
+        if got <= 0:
+            break
+        touched += got
+        position += got
+        remaining -= got
+    return touched
 
 
 def translation_entry_from_reply(uri: str, reply: HelperReply) -> PathnameEntry:
@@ -312,44 +277,39 @@ def translation_entry_from_reply(uri: str, reply: HelperReply) -> PathnameEntry:
 class HelperPool:
     """Dispatches potentially blocking operations to helpers and collects completions.
 
-    The pool owns ``num_helpers`` helpers.  :meth:`submit` queues a request
-    with its completion callback; idle helpers pick work up immediately and
-    excess requests wait (the paper sizes the pool to "enough helpers to
-    keep the disk busy", not one per connection).  The event loop must call
-    :meth:`register` once; afterwards completions are delivered by the
-    loop's normal readiness dispatch and each callback runs in the main
-    process/thread — never concurrently with the event loop.
+    The pool owns ``num_helpers`` helper threads.  :meth:`submit` queues a
+    request with its completion callback; idle helpers pick work up
+    immediately and excess requests wait (the paper sizes the pool to
+    "enough helpers to keep the disk busy", not one per connection).  The
+    event loop must call :meth:`register` once; afterwards completions are
+    delivered by the loop's normal readiness dispatch and each callback runs
+    in the main thread — never concurrently with the event loop.
 
     Parameters
     ----------
     num_helpers:
-        Number of helper processes or threads.
-    mode:
-        ``"thread"`` or ``"process"`` (see module docstring).
+        Number of helper threads.
     """
 
-    def __init__(self, num_helpers: int = 4, mode: str = "thread"):
+    def __init__(self, num_helpers: int = 4):
         if num_helpers < 1:
             raise ValueError("num_helpers must be at least 1")
-        if mode not in ("thread", "process"):
-            raise ValueError("mode must be 'thread' or 'process'")
         self.num_helpers = num_helpers
-        self.mode = mode
         self._seq = 0
         self._callbacks: dict[int, Callable[[HelperReply], None]] = {}
         self._closed = False
-        self._loop = None
         self.dispatched = 0
         self.completed = 0
-        #: Helpers that died mid-operation (process mode: the pipe EOFed).
-        #: Each death synthesizes a failed reply for the operation the
-        #: helper owned, so its requester degrades instead of hanging.
-        self.helpers_died = 0
-
-        if mode == "thread":
-            self._init_threads()
-        else:
-            self._init_processes()
+        self._work_queue: queue.Queue = queue.Queue()
+        self._done_queue: queue.Queue = queue.Queue()
+        self._wakeup_recv, self._wakeup_send = socket.socketpair()
+        self._wakeup_recv.setblocking(False)
+        self._threads = [
+            threading.Thread(target=self._thread_main, name=f"flash-helper-{i}", daemon=True)
+            for i in range(num_helpers)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     # -- public API -----------------------------------------------------------
 
@@ -357,13 +317,6 @@ class HelperPool:
     def outstanding(self) -> int:
         """Number of submitted operations whose completion has not yet run."""
         return len(self._callbacks)
-
-    @property
-    def idle_helpers(self) -> int:
-        """Helpers currently waiting for work (approximate in thread mode)."""
-        if self.mode == "thread":
-            return max(0, self.num_helpers - min(self.outstanding, self.num_helpers))
-        return len(self._idle_processes)
 
     def submit(self, request: HelperRequest, callback: Callable[[HelperReply], None]) -> int:
         """Queue ``request``; ``callback(reply)`` runs when the helper finishes."""
@@ -373,48 +326,27 @@ class HelperPool:
         request.seq = self._seq
         self._callbacks[request.seq] = callback
         self.dispatched += 1
-        if self.mode == "thread":
-            self._work_queue.put(request)
-        else:
-            self._submit_process(request)
+        self._work_queue.put(request)
         return request.seq
 
     def register(self, loop) -> None:
-        """Register the pool's completion channels with an event loop."""
-        self._loop = loop
-        if self.mode == "thread":
-            loop.register(
-                self._wakeup_recv,
-                EVENT_READ,
-                lambda _fileobj, _mask: self.process_completions(),
-            )
-        else:
-            for conn in self._parent_conns:
-                loop.register(
-                    conn,
-                    EVENT_READ,
-                    lambda _fileobj, _mask, c=conn: self._drain_process(c),
-                )
+        """Register the pool's completion channel with an event loop."""
+        loop.register(
+            self._wakeup_recv,
+            EVENT_READ,
+            lambda _fileobj, _mask: self.process_completions(),
+        )
 
     def unregister(self, loop) -> None:
-        """Remove the pool's channels from an event loop."""
-        if self.mode == "thread":
-            loop.unregister(self._wakeup_recv)
-        else:
-            for conn in self._parent_conns:
-                loop.unregister(conn)
-        self._loop = None
+        """Remove the pool's completion channel from an event loop."""
+        loop.unregister(self._wakeup_recv)
 
     def process_completions(self) -> int:
         """Run callbacks for every completion available right now.
 
-        Thread mode only; process-mode completions are drained per pipe by
-        the event loop callback installed in :meth:`register`.  Returns the
-        number of completions processed.
+        Returns the number of completions processed.
         """
         try:
-            if self.mode != "thread":
-                return self.poll()
             # Drain the wakeup bytes first so the loop does not spin.
             try:
                 while self._wakeup_recv.recv(4096):
@@ -436,53 +368,28 @@ class HelperPool:
             logger.exception("unhandled error draining helper completions (absorbed)")
             return 0
 
-    def poll(self) -> int:
-        """Check every completion channel without blocking (process mode)."""
-        if self.mode == "thread":
-            return self.process_completions()
-        processed = 0
-        for conn in list(self._parent_conns):
-            processed += self._drain_process(conn)
-        return processed
-
     def wait_all(self, timeout: float = 10.0) -> None:
         """Block until every outstanding operation has completed (tests only)."""
         import time
 
         deadline = time.monotonic() + timeout
         while self.outstanding and time.monotonic() < deadline:
-            if self.mode == "thread":
-                self.process_completions()
-            else:
-                self.poll()
+            self.process_completions()
             time.sleep(0.001)
         if self.outstanding:
             raise TimeoutError(f"{self.outstanding} helper operations still outstanding")
 
     def shutdown(self) -> None:
-        """Stop all helpers and release IPC resources.  Idempotent."""
+        """Stop all helpers and release the completion channel.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        if self.mode == "thread":
-            for _ in self._threads:
-                self._work_queue.put(HelperRequest(seq=0, op=OP_SHUTDOWN))
-            for thread in self._threads:
-                thread.join(timeout=5.0)
-            self._wakeup_recv.close()
-            self._wakeup_send.close()
-        else:
-            for conn in self._parent_conns:
-                try:
-                    conn.send(HelperRequest(seq=0, op=OP_SHUTDOWN))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._processes:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-            for conn in self._parent_conns:
-                conn.close()
+        for _ in self._threads:
+            self._work_queue.put(HelperRequest(seq=0, op=OP_SHUTDOWN))
+        for thread in self._threads:
+            thread.join(timeout=5.0)
+        self._wakeup_recv.close()
+        self._wakeup_send.close()
 
     # -- completion plumbing ----------------------------------------------------
 
@@ -491,20 +398,6 @@ class HelperPool:
         self.completed += 1
         if callback is not None:
             callback(reply)
-
-    # -- thread mode -------------------------------------------------------------
-
-    def _init_threads(self) -> None:
-        self._work_queue: queue.Queue = queue.Queue()
-        self._done_queue: queue.Queue = queue.Queue()
-        self._wakeup_recv, self._wakeup_send = socket.socketpair()
-        self._wakeup_recv.setblocking(False)
-        self._threads = [
-            threading.Thread(target=self._thread_main, name=f"flash-helper-{i}", daemon=True)
-            for i in range(self.num_helpers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
     def _thread_main(self) -> None:
         while True:
@@ -517,150 +410,3 @@ class HelperPool:
                 self._wakeup_send.send(b"\0")
             except OSError:
                 return
-
-    # -- process mode -------------------------------------------------------------
-
-    def _init_processes(self) -> None:
-        context = multiprocessing.get_context("fork" if hasattr(os, "fork") else "spawn")
-        self._parent_conns = []
-        self._processes = []
-        self._idle_processes: list = []
-        self._busy: dict = {}
-        self._backlog: list[HelperRequest] = []
-        for index in range(self.num_helpers):
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            proc = context.Process(
-                target=_process_helper_main,
-                args=(child_conn,),
-                name=f"flash-helper-{index}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._parent_conns.append(parent_conn)
-            self._processes.append(proc)
-            self._idle_processes.append(parent_conn)
-
-    def _submit_process(self, request: HelperRequest) -> None:
-        if not self._parent_conns:
-            # Every helper has died: nothing can ever run this operation.
-            # Fail it immediately so the requester degrades instead of
-            # waiting on a completion that will never arrive.
-            self._complete(_death_reply(request.seq))
-            return
-        if self._idle_processes:
-            conn = self._idle_processes.pop()
-            self._busy[conn] = request.seq
-            try:
-                conn.send(request)
-            except (BrokenPipeError, OSError):
-                self._helper_died(conn)
-        else:
-            self._backlog.append(request)
-
-    def _drain_process(self, conn) -> int:
-        """Run completions available on one helper pipe; returns the count.
-
-        A pipe that EOFs (or errors) means the helper process died — on a
-        segfault, an OOM kill, an operator mistake — while it may have
-        owned an in-flight operation.  The death is absorbed here:
-        :meth:`_helper_died` synthesizes a failed reply for that operation
-        and the pool degrades to the surviving helpers.
-        """
-        try:
-            processed = 0
-            while True:
-                try:
-                    if not conn.poll():
-                        return processed
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    self._helper_died(conn)
-                    return processed
-                self._finish_process(conn, reply)
-                processed += 1
-        except Exception:
-            # Crash barrier (lint rule RL005): per-pipe loop readiness
-            # callback; a completion-handler bug must not kill the loop.
-            logger.exception("unhandled error draining helper pipe (absorbed)")
-            return 0
-
-    def _helper_died(self, conn) -> None:
-        """Absorb the death of the helper behind ``conn`` and degrade.
-
-        The dead helper's pipe is unregistered from the event loop (an
-        EOFed pipe reports readable forever) and closed, its process
-        reaped, and the operation it owned — if any — completed with a
-        synthesized failure so the requester's degradation path runs (the
-        AMPED server falls back to a buffered read, exactly as for an
-        in-band helper error).  Surviving helpers keep serving the
-        backlog; if none survive, queued and future operations fail fast.
-
-        Idempotent per connection: one death can be observed twice (a send
-        failure inside the drain loop, then the poll on the now-closed
-        pipe), and the second observation must be a no-op.
-        """
-        if conn not in self._parent_conns:
-            return
-        self.helpers_died += 1
-        seq = self._busy.pop(conn, None)
-        if self._loop is not None:
-            try:
-                self._loop.unregister(conn)
-            except (KeyError, ValueError):
-                pass
-        if conn in self._idle_processes:
-            self._idle_processes.remove(conn)
-        if conn in self._parent_conns:
-            index = self._parent_conns.index(conn)
-            self._parent_conns.pop(index)
-            process = self._processes.pop(index)
-            process.join(timeout=0.1)
-            if process.is_alive():  # pragma: no cover - EOF implies death
-                process.terminate()
-        try:
-            conn.close()
-        except OSError:
-            pass
-        if seq is not None:
-            self._complete(_death_reply(seq))
-        if not self._parent_conns:
-            backlog, self._backlog = self._backlog, []
-            for request in backlog:
-                self._complete(_death_reply(request.seq))
-
-    def _finish_process(self, conn, reply: HelperReply) -> None:
-        self._busy.pop(conn, None)
-        if self._backlog:
-            next_request = self._backlog.pop(0)
-            self._busy[conn] = next_request.seq
-            try:
-                conn.send(next_request)
-            except (BrokenPipeError, OSError):
-                self._helper_died(conn)
-        else:
-            self._idle_processes.append(conn)
-        self._complete(reply)
-
-
-def _process_helper_main(conn) -> None:
-    """Entry point of a helper process: serve requests until shutdown."""
-    from repro.testing.faults import faults
-
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            return
-        if request.op == OP_SHUTDOWN:
-            return
-        if faults.take("helper_death"):
-            # Injected helper crash: die abruptly mid-operation, exactly
-            # like a segfault would — the parent sees pipe EOF and must
-            # synthesize a failure reply and degrade to the survivors.
-            os._exit(1)
-        reply = perform_helper_operation(request)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return

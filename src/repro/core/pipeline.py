@@ -409,7 +409,7 @@ class ContentStore:
 
         Returns ``None`` on a cache miss (or when the pathname cache is
         disabled); the AMPED server then dispatches the translation to a
-        helper process so the main event loop never blocks.
+        helper so the main event loop never blocks.
         """
         if self.pathname_cache is None:
             return None
@@ -1049,17 +1049,9 @@ class ContentStore:
             )
         )
 
-    # The paper's documented disk-blocking step: helpers call this off-loop
-    # (OP_READ); SPED calls it inline, which is exactly the architectural
-    # cost under measurement.
-    # repro-lint: allow[RL001] -- intentional blocking read: helper-side in AMPED, inline by design in SPED
-    @staticmethod
-    def read_file(path: str) -> bytes:
-        """Plain blocking file read, used when the mmap cache is disabled."""
-        with open(path, "rb") as handle:
-            return handle.read()
-
-    # repro-lint: allow[RL001] -- same contract as read_file: helper-side in AMPED, inline by design in SPED/fallbacks
+    # The buffered routes' disk-blocking read: inline by design, which is
+    # exactly the architectural cost under measurement.
+    # repro-lint: allow[RL001] -- intentional blocking read: inline by design in SPED/fallbacks
     @staticmethod
     def read_file_range(path: str, offset: int, length: int) -> bytes:
         """Blocking read of a ``(offset, length)`` window of ``path``.

@@ -284,15 +284,6 @@ class BaseEventDrivenServer:
             return
         callback(entry, None)
 
-    def prepare_content_async(self, request: HTTPRequest, entry, callback) -> None:
-        """Build the response inline (SPED behaviour: page faults may block)."""
-        try:
-            content = self.store.build_response(request, entry)
-        except (HTTPError, OSError) as exc:
-            callback(None, exc)
-            return
-        callback(content, None)
-
     def handle_cgi_async(self, request: HTTPRequest, callback) -> None:
         """Forward a dynamic request to its persistent CGI application."""
         self.cgi_runner.submit(request, callback)
@@ -507,9 +498,7 @@ class FlashServer(BaseEventDrivenServer):
         residency_tester: Optional[ResidencyTester] = None,
     ):
         super().__init__(config, residency_tester=residency_tester)
-        self.helpers = HelperPool(
-            num_helpers=config.num_helpers, mode=config.helper_mode
-        )
+        self.helpers = HelperPool(num_helpers=config.num_helpers)
         self.helpers.register(self.loop)
 
     # -- AMPED driver hooks ----------------------------------------------------------
@@ -611,21 +600,18 @@ class FlashServer(BaseEventDrivenServer):
     def _warm_fd_async(self, entry, content: StaticContent, callback) -> None:
         """Ship a cold fd-backed response to an ``OP_WARM`` helper.
 
-        Thread-mode helpers share the server's descriptor table, so they
-        warm the pinned cached descriptor in place; process-mode helpers
-        get ``fd=-1`` and re-open by path (the OS buffer cache they fill is
-        shared between processes either way).  The descriptor stays pinned
+        Helper threads share the server's descriptor table, so they warm
+        the pinned cached descriptor in place.  The descriptor stays pinned
         by ``content`` until the completion callback runs, so it cannot be
         evicted or closed while the helper reads from it.
         """
         self.store.stats.sendfile_warms += 1
-        fd = content.file_handle.fd if self.helpers.mode == "thread" else -1
         warm_offset, warm_length = content.warm_window()
         helper_request = HelperRequest(
             seq=0,
             op=OP_WARM,
             path=entry.filesystem_path,
-            fd=fd,
+            fd=content.file_handle.fd,
             offset=warm_offset,
             length=warm_length,
         )

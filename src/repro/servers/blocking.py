@@ -362,10 +362,20 @@ def _sendfile_blocking(
             if exc.errno not in SENDFILE_FALLBACK_ERRNOS:
                 raise
             # sendfile unsupported for this fd/socket pair: finish the
-            # response buffered, resuming at the exact offset reached.
+            # response buffered, resuming at the exact offset reached, in
+            # pieces of at most socket_io_size bytes.
             with store.stats_lock():
                 store.stats.sendfile_fallbacks += 1
-            _send_all(sock, store, [os.pread(fd, remaining, offset)])
+            piece = store.config.socket_io_size
+            while remaining > 0:
+                data = os.pread(fd, min(piece, remaining), offset)
+                if not data:
+                    raise ConnectionError(
+                        f"file shrank during buffered fallback: {remaining} bytes undelivered"
+                    )
+                _send_all(sock, store, [data])
+                offset += len(data)
+                remaining -= len(data)
             return
         if sent == 0:
             # EOF before the expected count: the file shrank underneath us.

@@ -11,10 +11,6 @@ disk-bound workloads (Figures 9 and 10).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.cache.residency import ResidencyTester
-from repro.core.config import ServerConfig
 from repro.core.helpers import advise_willneed
 from repro.core.pipeline import ContentStore
 from repro.core.send_path import sendfile_available
@@ -25,10 +21,12 @@ from repro.http.request import HTTPRequest
 class SPEDServer(BaseEventDrivenServer):
     """Flash-SPED: the shared code base with inline (blocking) disk operations.
 
-    The base class already implements the inline driver hooks, so this class
-    only fixes the architecture label and disables the memory-residency test
-    (SPED transmits mapped data directly; the paper attributes Flash's small
-    deficit on fully cached workloads to the residency test AMPED must do).
+    The base class already translates inline, so this class only fixes the
+    architecture label and builds each response inline with no
+    memory-residency test: it touches the pages and takes the page fault
+    (blocking the whole process) if they are missing (the paper attributes
+    Flash's small deficit on fully cached workloads to the residency test
+    AMPED must do).
 
     The single-lookup hot path applies to SPED in its purest form: the base
     ``hot_content_ready`` hook accepts every hot-response-cache hit without
@@ -38,17 +36,6 @@ class SPEDServer(BaseEventDrivenServer):
     """
 
     architecture = "sped"
-
-    def __init__(
-        self,
-        config: ServerConfig,
-        residency_tester: Optional[ResidencyTester] = None,
-    ):
-        super().__init__(config, residency_tester=residency_tester)
-        # SPED never checks residency: it simply touches the pages and takes
-        # the page fault (blocking the whole process) if they are missing.
-        self.store.config = config
-        self._skip_residency_test = True
 
     def prepare_content_async(self, request: HTTPRequest, entry, callback) -> None:
         # With the zero-copy path active, SPED transmits straight from the

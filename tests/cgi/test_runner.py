@@ -1,6 +1,7 @@
 """Unit tests for the persistent CGI application runner (paper Section 5.6)."""
 
 import os
+import threading
 import time
 
 import pytest
@@ -109,6 +110,23 @@ class TestSynchronousExecution:
         assert runner.requests_run == 3
         runner.shutdown()
 
+    def test_workers_are_threads_in_the_server_process(self):
+        """Each application runs on its own named thread of this process."""
+        def where_am_i(data: CGIRequestData) -> bytes:
+            return f"{os.getpid()}:{threading.current_thread().name}".encode()
+
+        runner = CGIRunner({"where": where_am_i})
+        request = parse(b"GET /cgi-bin/where HTTP/1.0\r\n\r\n")
+        try:
+            assert runner.run(request) == f"{os.getpid()}:cgi-where".encode()
+        finally:
+            runner.shutdown()
+
+    def test_no_mode_argument(self):
+        """Threads are the only realization: there is nothing to select."""
+        with pytest.raises(TypeError):
+            CGIRunner({}, mode="process")
+
 
 class TestAsynchronousExecution:
     def test_submit_delivers_through_event_loop(self):
@@ -151,16 +169,3 @@ class TestAsynchronousExecution:
         assert isinstance(results[0][1], RuntimeError)
         runner.shutdown()
         loop.close()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process workers require fork")
-class TestProcessWorkers:
-    def test_run_in_separate_process(self):
-        runner = CGIRunner({"hello": hello_app}, mode="process")
-        request = parse(b"GET /cgi-bin/hello?p=1 HTTP/1.0\r\n\r\n")
-        assert runner.run(request) == b"<html>hello p=1</html>"
-        runner.shutdown()
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            CGIRunner({}, mode="rpc")

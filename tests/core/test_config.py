@@ -25,13 +25,17 @@ class TestValidation:
         [
             {"num_helpers": 0},
             {"num_workers": 0},
-            {"helper_mode": "fiber"},
             {"mmap_chunk_size": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServerConfig(**kwargs)
+
+    def test_helper_mode_is_not_a_field(self):
+        """Helpers are always threads; the retired switch is not accepted."""
+        with pytest.raises(TypeError):
+            ServerConfig(helper_mode="process")
 
 
 class TestTimeoutKnobs:

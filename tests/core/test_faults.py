@@ -40,9 +40,16 @@ class TestArming:
         assert plan.value("shard_kill_after") == 0.5
         assert plan.armed("shard_kill_after")
 
-    def test_unknown_point_rejected(self, plan):
+    @pytest.mark.parametrize(
+        "point",
+        [
+            "accept_emfil",  # a typo must fail loudly
+            "helper_death",  # a retired point must not silently arm nothing
+        ],
+    )
+    def test_unknown_point_rejected(self, plan, point):
         with pytest.raises(ValueError, match="unknown fault point"):
-            plan.arm("accept_emfil")  # typo must fail loudly
+            plan.arm(point)
 
     def test_reset_disarms_everything(self, plan):
         plan.arm("accept_emfile", count=3)
@@ -55,18 +62,19 @@ class TestArming:
 
 class TestEnvParsing:
     def test_parses_counts_values_and_bare_points(self, plan):
-        plan.load_env("accept_emfile=2, helper_death ,shard_kill_after=0.25")
+        plan.load_env("accept_emfile=2, disk_read ,shard_kill_after=0.25")
         snap = plan.snapshot()
-        assert snap["counts"] == {"accept_emfile": 2, "helper_death": 1}
+        assert snap["counts"] == {"accept_emfile": 2, "disk_read": 1}
         assert snap["values"] == {"shard_kill_after": 0.25}
 
     def test_empty_string_is_noop(self, plan):
         plan.load_env("")
         assert plan.snapshot() == {"counts": {}, "values": {}}
 
-    def test_unknown_point_in_env_raises(self, plan):
+    @pytest.mark.parametrize("spec", ["no_such_point=1", "helper_death"])
+    def test_unknown_point_in_env_raises(self, plan, spec):
         with pytest.raises(ValueError):
-            plan.load_env("no_such_point=1")
+            plan.load_env(spec)
 
     def test_reads_environment_variable(self, plan, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "disk_read=1")

@@ -1,6 +1,8 @@
 """Unit tests for the AMPED helper pool and IPC protocol."""
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -61,7 +63,7 @@ class TestPerformHelperOperation:
 
 class TestHelperPoolThreads:
     def test_submit_and_wait(self, docroot):
-        pool = HelperPool(num_helpers=2, mode="thread")
+        pool = HelperPool(num_helpers=2)
         replies = []
         for name in ("index.html", "big.bin"):
             pool.submit(
@@ -76,7 +78,7 @@ class TestHelperPoolThreads:
 
     def test_completions_delivered_through_event_loop(self, docroot):
         loop = EventLoop()
-        pool = HelperPool(num_helpers=1, mode="thread")
+        pool = HelperPool(num_helpers=1)
         pool.register(loop)
         replies = []
         pool.submit(
@@ -93,18 +95,22 @@ class TestHelperPoolThreads:
         loop.close()
 
     def test_errors_reported_not_raised(self, docroot):
-        pool = HelperPool(num_helpers=1, mode="thread")
+        """A failed operation completes with a failed reply, so its
+        requester degrades instead of hanging, and the same helper serves
+        the next request."""
+        pool = HelperPool(num_helpers=1)
         replies = []
-        pool.submit(
-            HelperRequest(seq=0, op=OP_TRANSLATE, uri="/missing", document_root=docroot),
-            replies.append,
-        )
+        for uri in ("/missing", "/index.html"):
+            pool.submit(
+                HelperRequest(seq=0, op=OP_TRANSLATE, uri=uri, document_root=docroot),
+                replies.append,
+            )
         pool.wait_all(timeout=5.0)
-        assert replies and not replies[0].ok
+        assert [reply.ok for reply in replies] == [False, True]
         pool.shutdown()
 
     def test_more_requests_than_helpers(self, docroot):
-        pool = HelperPool(num_helpers=1, mode="thread")
+        pool = HelperPool(num_helpers=1)
         replies = []
         for _ in range(10):
             pool.submit(
@@ -116,12 +122,12 @@ class TestHelperPoolThreads:
         pool.shutdown()
 
     def test_shutdown_idempotent(self):
-        pool = HelperPool(num_helpers=1, mode="thread")
+        pool = HelperPool(num_helpers=1)
         pool.shutdown()
         pool.shutdown()
 
     def test_submit_after_shutdown_rejected(self, docroot):
-        pool = HelperPool(num_helpers=1, mode="thread")
+        pool = HelperPool(num_helpers=1)
         pool.shutdown()
         with pytest.raises(RuntimeError):
             pool.submit(HelperRequest(seq=0, op=OP_READ, path="x"), lambda r: None)
@@ -129,31 +135,26 @@ class TestHelperPoolThreads:
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
             HelperPool(num_helpers=0)
-        with pytest.raises(ValueError):
-            HelperPool(mode="coroutine")
 
+    def test_no_mode_argument(self):
+        """Threads are the only realization: there is nothing to select."""
+        with pytest.raises(TypeError):
+            HelperPool(num_helpers=1, mode="thread")
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process helpers require fork")
-class TestHelperPoolProcesses:
-    def test_translate_via_process_helpers(self, docroot):
-        pool = HelperPool(num_helpers=2, mode="process")
-        replies = []
-        try:
-            for _ in range(4):
-                pool.submit(
-                    HelperRequest(
-                        seq=0, op=OP_TRANSLATE, uri="/index.html", document_root=docroot
-                    ),
-                    replies.append,
-                )
-            pool.wait_all(timeout=10.0)
-        finally:
-            pool.shutdown()
-        assert len(replies) == 4
-        assert all(reply.ok for reply in replies)
+    def test_backlog_when_all_helpers_busy(self, docroot, monkeypatch):
+        """Requests beyond the pool size queue behind the busy helper and
+        all complete once it is free."""
+        import repro.core.helpers as helpers_module
 
-    def test_backlog_when_all_helpers_busy(self, docroot):
-        pool = HelperPool(num_helpers=1, mode="process")
+        gate = threading.Event()
+        real_touch = helpers_module._touch_file_range
+
+        def gated_touch(path, offset, length):
+            gate.wait(timeout=10.0)
+            return real_touch(path, offset, length)
+
+        monkeypatch.setattr(helpers_module, "_touch_file_range", gated_touch)
+        pool = HelperPool(num_helpers=1)
         replies = []
         try:
             for _ in range(5):
@@ -161,96 +162,137 @@ class TestHelperPoolProcesses:
                     HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                     replies.append,
                 )
-            pool.wait_all(timeout=15.0)
+            pool.process_completions()
+            assert pool.outstanding == 5
+            assert pool.dispatched == 5
+            assert pool.completed == 0
+            gate.set()
+            pool.wait_all(timeout=10.0)
         finally:
+            gate.set()
             pool.shutdown()
         assert len(replies) == 5
+        assert all(reply.bytes_touched == 100_000 for reply in replies)
+        assert pool.completed == 5
 
-
-class TestProcessHelperDeath:
-    """A helper process that dies mid-operation must not hang its requester
-    or kill the pool: the EOFed pipe synthesizes a failed reply and the
-    pool degrades to the survivors."""
-
-    @staticmethod
-    def crash_pool(num_helpers, monkeypatch):
-        """A process pool whose helpers exit hard inside OP_READ."""
+    def test_replies_matched_to_callbacks_by_seq(self, docroot, monkeypatch):
+        """Completions that arrive out of submission order still reach the
+        callback of the request they answer."""
         import repro.core.helpers as helpers_module
 
-        def die(path, offset, length):
-            os._exit(17)
+        gate = threading.Event()
+        real_touch = helpers_module._touch_file_range
 
-        # Patched before fork: the helper children inherit the crash.
-        monkeypatch.setattr(helpers_module, "_touch_file_range", die)
-        return HelperPool(num_helpers=num_helpers, mode="process")
+        def gated_touch(path, offset, length):
+            gate.wait(timeout=10.0)
+            return real_touch(path, offset, length)
 
-    def test_death_synthesizes_failed_reply(self, docroot, monkeypatch):
-        pool = self.crash_pool(2, monkeypatch)
+        monkeypatch.setattr(helpers_module, "_touch_file_range", gated_touch)
+        pool = HelperPool(num_helpers=2)
+        slow, fast = [], []
+        try:
+            slow_seq = pool.submit(
+                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                slow.append,
+            )
+            fast_seq = pool.submit(
+                HelperRequest(seq=0, op=OP_TRANSLATE, uri="/index.html", document_root=docroot),
+                fast.append,
+            )
+            assert fast_seq == slow_seq + 1
+            deadline = time.monotonic() + 10.0
+            while not fast and time.monotonic() < deadline:
+                pool.process_completions()
+                time.sleep(0.001)
+            assert fast
+            assert not slow  # the read is still parked behind the gate
+            gate.set()
+            pool.wait_all(timeout=10.0)
+        finally:
+            gate.set()
+            pool.shutdown()
+        assert [reply.seq for reply in slow] == [slow_seq]
+        assert slow[0].op == OP_READ and slow[0].bytes_touched == 100_000
+        assert [reply.seq for reply in fast] == [fast_seq]
+        assert fast[0].op == OP_TRANSLATE and fast[0].path.endswith("index.html")
+
+    def test_callbacks_run_on_the_draining_thread(self, docroot):
+        """Helpers only queue replies; every callback runs on the thread
+        that drains completions (the event loop's), never on a helper."""
+        pool = HelperPool(num_helpers=2)
+        threads = []
+        try:
+            for _ in range(4):
+                pool.submit(
+                    HelperRequest(seq=0, op=OP_TRANSLATE, uri="/index.html", document_root=docroot),
+                    lambda reply: threads.append(threading.current_thread()),
+                )
+            pool.wait_all(timeout=5.0)
+        finally:
+            pool.shutdown()
+        assert threads == [threading.current_thread()] * 4
+
+
+class TestHelperFailure:
+    """An operation that raises inside a helper thread must not hang its
+    requester or cost the pool a helper: it completes with a failed reply
+    and the helper goes on serving."""
+
+    @staticmethod
+    def crash_reads(monkeypatch):
+        import repro.core.helpers as helpers_module
+
+        def crash(path, offset, length):
+            raise RuntimeError("disk read exploded")
+
+        monkeypatch.setattr(helpers_module, "_touch_file_range", crash)
+
+    def test_exception_synthesizes_failed_reply(self, docroot, monkeypatch):
+        self.crash_reads(monkeypatch)
+        pool = HelperPool(num_helpers=2)
         replies = []
         try:
             pool.submit(
                 HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
                 replies.append,
             )
-            pool.wait_all(timeout=10.0)
+            pool.wait_all(timeout=5.0)
         finally:
             pool.shutdown()
         assert len(replies) == 1
         assert not replies[0].ok
-        assert replies[0].error_type == "HelperDiedError"
-        assert pool.helpers_died == 1
+        assert replies[0].error_type == "RuntimeError"
+        assert replies[0].error_message == "disk read exploded"
+        assert pool.completed == 1
 
-    def test_pool_degrades_to_survivors(self, docroot, monkeypatch):
-        pool = self.crash_pool(2, monkeypatch)
+    def test_pool_keeps_every_helper_after_failures(self, docroot, monkeypatch):
+        self.crash_reads(monkeypatch)
+        pool = HelperPool(num_helpers=2)
         replies = []
         try:
-            pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
-                replies.append,
-            )
-            pool.wait_all(timeout=10.0)
-            # One helper is gone; translations still complete on the other.
-            pool.submit(
-                HelperRequest(
-                    seq=0, op=OP_TRANSLATE, uri="/index.html", document_root=docroot
-                ),
-                replies.append,
-            )
-            pool.wait_all(timeout=10.0)
+            for _ in range(4):
+                pool.submit(
+                    HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
+                    replies.append,
+                )
+            pool.wait_all(timeout=5.0)
+            alive = [thread.is_alive() for thread in pool._threads]
+            for _ in range(2):
+                pool.submit(
+                    HelperRequest(seq=0, op=OP_TRANSLATE, uri="/index.html", document_root=docroot),
+                    replies.append,
+                )
+            pool.wait_all(timeout=5.0)
         finally:
             pool.shutdown()
-        assert len(replies) == 2
-        assert not replies[0].ok
-        assert replies[1].ok
-        assert pool.helpers_died == 1
+        assert alive == [True, True]
+        assert [reply.ok for reply in replies] == [False] * 4 + [True] * 2
 
-    def test_all_helpers_dead_fails_fast(self, docroot, monkeypatch):
-        pool = self.crash_pool(1, monkeypatch)
-        replies = []
-        try:
-            pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
-                replies.append,
-            )
-            pool.wait_all(timeout=10.0)
-            # No helpers remain: a new submission fails immediately instead
-            # of waiting forever.
-            pool.submit(
-                HelperRequest(seq=0, op=OP_READ, path=os.path.join(docroot, "big.bin")),
-                replies.append,
-            )
-        finally:
-            pool.shutdown()
-        assert len(replies) == 2
-        assert all(not reply.ok for reply in replies)
-        assert all(reply.error_type == "HelperDiedError" for reply in replies)
-
-    def test_death_observed_through_event_loop(self, docroot, monkeypatch):
-        """The AMPED observation path: the dead helper's pipe EOF arrives
-        as a readiness event and the completion runs from the loop."""
-        import time
-
-        pool = self.crash_pool(1, monkeypatch)
+    def test_failure_observed_through_event_loop(self, docroot, monkeypatch):
+        """The AMPED observation path: a failed reply wakes the loop like
+        any other completion and its callback runs from the loop."""
+        self.crash_reads(monkeypatch)
+        pool = HelperPool(num_helpers=1)
         loop = EventLoop()
         replies = []
         try:
@@ -262,24 +304,9 @@ class TestProcessHelperDeath:
             deadline = time.monotonic() + 10.0
             while not replies and time.monotonic() < deadline:
                 loop.run_once(timeout=0.05)
+            pool.unregister(loop)
         finally:
             pool.shutdown()
             loop.close()
         assert len(replies) == 1
-        assert replies[0].error_type == "HelperDiedError"
-
-
-class TestHelperDeathIdempotent:
-    def test_double_observation_counts_one_death(self, docroot):
-        """One helper death can be observed twice (send failure, then the
-        poll on the closed pipe); the second observation is a no-op."""
-        pool = HelperPool(num_helpers=2, mode="process")
-        try:
-            conn = pool._parent_conns[0]
-            pool._helper_died(conn)
-            assert pool.helpers_died == 1
-            pool._helper_died(conn)           # already reaped: no-op
-            assert pool.helpers_died == 1
-            assert len(pool._parent_conns) == 1
-        finally:
-            pool.shutdown()
+        assert replies[0].error_type == "RuntimeError"

@@ -35,59 +35,66 @@ def datafile(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def datafd(datafile):
+    fd = os.open(datafile, os.O_RDONLY)
+    yield fd
+    os.close(fd)
+
+
 class TestWarmOperation:
-    def test_warm_by_path_touches_whole_file(self, datafile):
+    def test_warm_on_open_descriptor(self, datafile, datafd):
         reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=datafile)
+            HelperRequest(seq=1, op=OP_WARM, path=datafile, fd=datafd)
         )
         assert reply.ok
         assert reply.bytes_touched == os.path.getsize(datafile)
+        # The helper used positional reads: the shared descriptor's
+        # file offset is untouched (a concurrent sendfile relies on
+        # nothing moving it).
+        assert os.lseek(datafd, 0, os.SEEK_CUR) == 0
+        # And the descriptor was not closed (it is cache-owned).
+        os.fstat(datafd)
 
-    def test_warm_on_open_descriptor(self, datafile):
-        fd = os.open(datafile, os.O_RDONLY)
-        try:
-            reply = perform_helper_operation(
-                HelperRequest(seq=1, op=OP_WARM, path=datafile, fd=fd)
-            )
-            assert reply.ok
-            assert reply.bytes_touched == os.path.getsize(datafile)
-            # The helper used positional reads: the shared descriptor's
-            # file offset is untouched (a concurrent sendfile relies on
-            # nothing moving it).
-            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
-            # And the descriptor was not closed (it is cache-owned).
-            os.fstat(fd)
-        finally:
-            os.close(fd)
-
-    def test_warm_byte_range(self, datafile):
+    def test_warm_byte_range(self, datafile, datafd):
         reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=datafile, offset=4096, length=8192)
+            HelperRequest(seq=1, op=OP_WARM, path=datafile, fd=datafd, offset=4096, length=8192)
         )
         assert reply.ok
         assert reply.bytes_touched == 8192
 
-    def test_warm_range_clamped_to_file_size(self, datafile):
+    def test_warm_range_clamped_to_file_size(self, datafile, datafd):
         size = os.path.getsize(datafile)
         reply = perform_helper_operation(
-            HelperRequest(seq=1, op=OP_WARM, path=datafile, offset=size - 100, length=10_000)
+            HelperRequest(
+                seq=1, op=OP_WARM, path=datafile, fd=datafd, offset=size - 100, length=10_000
+            )
         )
         assert reply.ok
         assert reply.bytes_touched == 100
 
-    def test_warm_missing_file_fails_cleanly(self, tmp_path):
+    def test_warm_reads_the_descriptor_not_the_path(self, tmp_path, datafile, datafd):
+        """The helper warms the open descriptor and never re-opens the
+        path, so a path that no longer names the file does not matter."""
+        reply = perform_helper_operation(
+            HelperRequest(seq=1, op=OP_WARM, path=str(tmp_path / "renamed-away"), fd=datafd)
+        )
+        assert reply.ok
+        assert reply.bytes_touched == os.path.getsize(datafile)
+
+    def test_warm_bad_descriptor_fails_cleanly(self, tmp_path):
         reply = perform_helper_operation(
             HelperRequest(seq=1, op=OP_WARM, path=str(tmp_path / "gone"))
         )
         assert not reply.ok
-        assert reply.error_type == "FileNotFoundError"
+        assert reply.error_type == "OSError"
 
-    def test_warm_through_helper_pool(self, datafile):
-        pool = HelperPool(num_helpers=2, mode="thread")
+    def test_warm_through_helper_pool(self, datafile, datafd):
+        pool = HelperPool(num_helpers=2)
         replies = []
         try:
             pool.submit(
-                HelperRequest(seq=0, op=OP_WARM, path=datafile), replies.append
+                HelperRequest(seq=0, op=OP_WARM, path=datafile, fd=datafd), replies.append
             )
             pool.wait_all()
         finally:

@@ -1,14 +1,22 @@
 """Direct unit tests for the blocking per-connection handler (MP/MT workers)."""
 
+import errno
+import os
 import socket
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cgi.runner import CGIRunner
 from repro.core.config import ServerConfig
 from repro.core.pipeline import ContentStore
-from repro.servers.blocking import handle_client
+from repro.core.send_path import sendfile_available
+from repro.servers.blocking import _sendfile_blocking, handle_client
+
+requires_sendfile = pytest.mark.skipif(
+    not sendfile_available(), reason="os.sendfile not available"
+)
 
 
 @pytest.fixture
@@ -189,3 +197,136 @@ class TestHandleClient:
         run_handler(config, store, actions)
         assert store.stats.requests == before + 1
         assert store.stats.connections_closed >= 1
+
+
+class TestSendfileFallback:
+    """The buffered fallback taken when ``os.sendfile`` rejects the fd pair."""
+
+    PIECE = 16 * 1024
+    SIZE = 300_000
+
+    @pytest.fixture
+    def sendfile_site(self, tmp_path, monkeypatch):
+        """A file, its store and content; every positional read's request
+        size is recorded."""
+        path = tmp_path / "big.bin"
+        path.write_bytes(os.urandom(self.SIZE))
+        config = ServerConfig(document_root=str(tmp_path), port=0, socket_io_size=self.PIECE)
+        store = ContentStore(config)
+        fd = os.open(path, os.O_RDONLY)
+        asked = []
+        real_pread = os.pread
+
+        def recording_pread(fd_, count, offset):
+            asked.append(count)
+            return real_pread(fd_, count, offset)
+
+        monkeypatch.setattr(os, "pread", recording_pread)
+        yield path, store, SimpleNamespace(file_handle=SimpleNamespace(fd=fd)), asked
+        os.close(fd)
+        store.close()
+
+    @pytest.fixture
+    def fallback(self, sendfile_site, monkeypatch):
+        """Force the fallback: ``os.sendfile`` refuses the fd pair."""
+
+        def refuse(*_args):
+            raise OSError(errno.EINVAL, "sendfile unsupported")
+
+        monkeypatch.setattr(os, "sendfile", refuse)
+        return sendfile_site
+
+    def send(self, store, content, offset, length):
+        """Run the sender into a socketpair; return (bytes received, error)."""
+        server_side, client_side = socket.socketpair()
+        received = bytearray()
+
+        def reader():
+            while True:
+                chunk = client_side.recv(65536)
+                if not chunk:
+                    return
+                received.extend(chunk)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        error = None
+        try:
+            _sendfile_blocking(server_side, store, content, offset, length)
+        except ConnectionError as exc:
+            error = exc
+        finally:
+            server_side.close()
+            thread.join(timeout=10)
+            client_side.close()
+        return bytes(received), error
+
+    def test_multi_piece_body_is_byte_identical(self, fallback):
+        path, store, content, asked = fallback
+        offset, length = 1234, self.SIZE - 2000
+        received, error = self.send(store, content, offset, length)
+        assert error is None
+        assert received == path.read_bytes()[offset:offset + length]
+        assert store.stats.sendfile_fallbacks == 1
+        assert len(asked) > 1
+        assert max(asked) <= self.PIECE
+
+    def test_truncated_file_raises_instead_of_returning(self, fallback):
+        path, store, content, asked = fallback
+        original = path.read_bytes()
+        os.truncate(path, 100_000)
+        received, error = self.send(store, content, 0, self.SIZE)
+        assert isinstance(error, ConnectionError)
+        assert received == original[:100_000]
+        assert max(asked) <= self.PIECE
+
+    def test_body_exact_multiple_of_the_bound(self, fallback):
+        path, store, content, asked = fallback
+        received, error = self.send(store, content, 0, 4 * self.PIECE)
+        assert error is None
+        assert received == path.read_bytes()[:4 * self.PIECE]
+        assert asked == [self.PIECE] * 4
+
+    def test_empty_window_sends_nothing(self, fallback):
+        path, store, content, asked = fallback
+        received, error = self.send(store, content, 5000, 0)
+        assert error is None
+        assert received == b""
+        assert asked == []
+        assert store.stats.sendfile_fallbacks == 0
+
+    @requires_sendfile
+    def test_fallback_resumes_where_sendfile_stopped(self, sendfile_site, monkeypatch):
+        """sendfile moves part of the window, then refuses: the buffered
+        pieces continue at the exact offset reached."""
+        path, store, content, asked = sendfile_site
+        real_sendfile = os.sendfile
+        calls = []
+
+        def partial_then_refuse(out_fd, in_fd, offset, count):
+            calls.append(offset)
+            if len(calls) == 1:
+                return real_sendfile(out_fd, in_fd, offset, min(count, 10_000))
+            raise OSError(errno.EINVAL, "sendfile unsupported")
+
+        monkeypatch.setattr(os, "sendfile", partial_then_refuse)
+        offset, length = 777, 100_000
+        received, error = self.send(store, content, offset, length)
+        assert error is None
+        assert received == path.read_bytes()[offset:offset + length]
+        assert calls[0] == offset
+        assert store.stats.sendfile_fallbacks == 1
+        assert sum(asked) < length  # sendfile's share was not re-read
+
+    @requires_sendfile
+    def test_truncated_file_raises_on_the_sendfile_path(self, sendfile_site):
+        """Without the fallback, a file that shrank also ends in an error,
+        never in a short response that returns normally."""
+        path, store, content, asked = sendfile_site
+        original = path.read_bytes()
+        os.truncate(path, 100_000)
+        received, error = self.send(store, content, 0, self.SIZE)
+        assert isinstance(error, ConnectionError)
+        assert received == original[:100_000]
+        assert store.stats.sendfile_fallbacks == 0
+        assert asked == []

